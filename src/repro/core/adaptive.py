@@ -247,8 +247,8 @@ def run_campaign_adaptive(
     if ci_target < 0:
         raise ConfigError(f"ci_target must be >= 0: {ci_target}")
     if config.cores != 1:
-        # Waves restore from single-core golden-prefix checkpoints, which
-        # have no SMP counterpart; run SMP campaigns with exact replay.
+        # Waves run through this module's own batch runner, which carries
+        # no core count; run SMP campaigns with exact replay.
         raise ConfigError(
             "adaptive sampling supports single-core campaigns only "
             f"(cores={config.cores})"

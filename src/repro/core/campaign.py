@@ -18,12 +18,12 @@ harnesses share one set of simulations.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
+import pickle
 import random
 import time
-from bisect import bisect_right
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -84,11 +84,10 @@ class _BoundedCache:
         return len(self._data)
 
 
-#: Golden results are small (cycle counts + output bytes); checkpoint sets
-#: hold tens of MB of deepcopied systems per workload, so that cache stays
-#: near the working set of one campaign pass (current + previous workload).
+#: Bound of both the golden-run and the checkpoint cache.  Golden results
+#: are small (cycle counts + output bytes), and a checkpoint set holds a
+#: few KB of compressed snapshots per grid point.
 GOLDEN_CACHE_SIZE = 64
-CHECKPOINT_CACHE_SIZE = 2
 
 _GOLDEN_CACHE: _BoundedCache = _BoundedCache(GOLDEN_CACHE_SIZE)
 
@@ -369,63 +368,95 @@ class CampaignResult:
 
 
 class CheckpointedWorkload:
-    """Snapshots of one workload's fault-free execution.
+    """Golden-prefix snapshots of one workload, captured as samples pass them.
 
-    Because the simulator is deterministic and a :class:`System` is a pure
-    object graph, a ``copy.deepcopy`` taken at cycle *c* behaves exactly
-    like a fresh system simulated to cycle *c*.  Campaigns exploit this to
-    skip re-simulating the golden prefix of every injection: cloning a
-    snapshot costs milliseconds, simulating tens of thousands of cycles
-    costs seconds.  Results are bit-identical to the unoptimised path.
+    The simulator is deterministic, so a machine restored from a snapshot
+    of the golden run at cycle *c* behaves exactly like a fresh machine
+    simulated to cycle *c*.  Campaigns exploit this to skip re-simulating
+    the golden prefix of every injection: restoring a snapshot costs about
+    a millisecond, simulating thousands of cycles costs tenths of a
+    second.  Results are bit-identical to the unoptimised path, at every
+    core count (*cores* > 1 snapshots an ``SMPSystem``).
+
+    Snapshots sit on a fixed grid, one every ``golden.cycles // snapshots``
+    cycles, and are taken lazily: nothing is simulated up front, and
+    :meth:`system_at` captures each grid point the first sample to run
+    past it reaches, so the golden prefix is simulated once in total.
+    Each snapshot is a zlib-compressed pickle (a few KB, where a live
+    deepcopy holds hundreds of KB); the simulator classes restore through
+    :class:`~repro.restorable.Restorable`, so a restored machine
+    simulates as fast as a fresh one.
     """
 
     def __init__(
         self,
         workload: Workload,
         core_cfg: CoreConfig = DEFAULT_CONFIG,
+        cores: int = 1,
         snapshots: int = 24,
     ) -> None:
         self.workload = workload
         self.core_cfg = core_cfg
-        golden = golden_run(workload, core_cfg)
-        self.golden = golden
-        system = System(core_cfg)
-        system.load(workload.program())
-        step = max(1, golden.cycles // snapshots)
-        self._checkpoints: list[tuple[int, System]] = []
-        for target in range(0, golden.cycles, step):
-            if not system.run_until(target, golden.cycles + 1):
+        self.cores = cores
+        self.golden = golden_run(workload, core_cfg, cores=cores)
+        step = max(1, self.golden.cycles // snapshots)
+        #: Snapshot cycles; cycle 0 is not on it (a fresh build is cheaper
+        #: than a restore).
+        self.grid = range(step, self.golden.cycles, step)
+        #: Snapshots of the first ``len(_snapshots)`` grid points: samples
+        #: only ever capture the points past the last one taken.
+        self._snapshots: list[bytes] = []
+
+    @property
+    def captured(self) -> list[int]:
+        """The grid cycles whose snapshot has been taken so far."""
+        return list(self.grid[:len(self._snapshots)])
+
+    def system_at(self, cycle: int):
+        """A machine in its golden state at the last grid point <= *cycle*.
+
+        Restores the latest snapshot at or before *cycle* (or builds a
+        fresh machine) and runs forward over any grid points up to
+        *cycle* not captured yet, capturing each.  ``run_until(cycle)`` on
+        the result equals a fresh machine's ``run_until(cycle)``: both
+        stop at the first step reaching *cycle*, and an idle-cycle skip
+        that carries a grid point past *cycle* lands on that same step.
+        """
+        due = min(max(cycle, 0) // self.grid.step, len(self.grid))
+        taken = min(due, len(self._snapshots))
+        if taken:
+            system = pickle.loads(zlib.decompress(self._snapshots[taken - 1]))
+        else:
+            system = build_system(self.workload, self.core_cfg, self.cores)
+        for target in self.grid[taken:due]:
+            if not system.run_until(target, self.golden.cycles):
                 break  # pragma: no cover - golden run is deterministic
-            self._checkpoints.append((system.cycle, copy.deepcopy(system)))
-        self._cycles = [snap_cycle for snap_cycle, _ in self._checkpoints]
-
-    def system_at(self, cycle: int) -> System:
-        """A fresh system advanced to the latest checkpoint <= *cycle*."""
-        index = bisect_right(self._cycles, cycle) - 1
-        if index < 0:
-            system = System(self.core_cfg)
-            system.load(self.workload.program())
-            return system
-        return copy.deepcopy(self._checkpoints[index][1])
+            blob = zlib.compress(pickle.dumps(system, 5), 1)
+            self._snapshots.append(blob)
+            # Pickling exposes the live machine's __dict__, which slows
+            # it down for good; carry on from the restored copy instead.
+            system = pickle.loads(zlib.decompress(blob))
+        return system
 
 
-_CHECKPOINT_CACHE: _BoundedCache = _BoundedCache(CHECKPOINT_CACHE_SIZE)
+_CHECKPOINT_CACHE: _BoundedCache = _BoundedCache(GOLDEN_CACHE_SIZE)
 
 
 def _checkpoints_for(
-    workload: Workload, core_cfg: CoreConfig
+    workload: Workload, core_cfg: CoreConfig, cores: int = 1
 ) -> CheckpointedWorkload:
-    # Keyed by (workload, platform) value, like the golden cache, and
-    # LRU-bounded: campaigns iterate workload-major, and snapshot sets are
-    # tens of MB each across all 15 workloads.
+    # Keyed like the golden cache: by (workload, platform) value, plus the
+    # core count when it is not 1.
     tel = obs.active()
     key = (workload.name, core_cfg)
+    if cores != 1:
+        key += (cores,)
     cached = _CHECKPOINT_CACHE.get(key)
     if cached is None:
         if tel is not None:
             tel.metrics.counter("exec.lru.checkpoint.misses").inc()
         with obs.span("checkpoint-build", workload=workload.name):
-            cached = CheckpointedWorkload(workload, core_cfg)
+            cached = CheckpointedWorkload(workload, core_cfg, cores)
         _CHECKPOINT_CACHE.put(key, cached)
     elif tel is not None:
         tel.metrics.counter("exec.lru.checkpoint.hits").inc()
@@ -500,11 +531,11 @@ def run_one_injection(
     *cores* > 1 runs the experiment on an N-core SMP machine (the six
     standard component names alias core 0's private structures plus the
     shared L2, so a cell means the same thing at every core count);
-    checkpoint restore and liveness pruning are single-core services, so
-    SMP injections always resimulate their golden prefix.
+    liveness pruning is a single-core service.
 
-    Pass *checkpoints* (see :class:`CheckpointedWorkload`) to skip
-    re-simulating the fault-free prefix; the outcome is identical.
+    Pass *checkpoints* (see :class:`CheckpointedWorkload`, built for the
+    same core count) to skip re-simulating most of the fault-free prefix;
+    the outcome is identical.
     *max_steps* arms the step-count watchdog on the faulty run; *trace*,
     when a dict, receives intermediate artifacts (currently ``"mask"``) so
     a supervisor can build a repro bundle even when the run blows up later.
@@ -520,10 +551,14 @@ def run_one_injection(
     from the same RNG stream against the recorded geometry, so pruned
     results are byte-identical to unpruned ones.
     """
-    if cores != 1 and (checkpoints is not None or liveness is not None):
+    if cores != 1 and liveness is not None:
         raise ConfigError(
-            "checkpoint restore and liveness pruning are single-core "
-            f"services (cores={cores})"
+            f"liveness pruning is a single-core service (cores={cores})"
+        )
+    if checkpoints is not None and checkpoints.cores != cores:
+        raise ConfigError(
+            f"checkpoints of a {checkpoints.cores}-core machine cannot "
+            f"restore a {cores}-core injection"
         )
     golden = golden_run(workload, core_cfg, cores=cores)
     max_cycles = TIMEOUT_FACTOR * golden.cycles
@@ -722,11 +757,7 @@ def run_cell(
         cluster=config.cluster, mode=config.placement, seed=cell_seed
     )
     cycle_rng = random.Random(f"repro-cycles:{cell_seed}")
-    # Golden-prefix checkpoints deepcopy a single-core System; SMP cells
-    # resimulate the prefix instead (correct, just slower).
-    checkpoints = (
-        _checkpoints_for(workload, core_cfg) if cores == 1 else None
-    )
+    checkpoints = _checkpoints_for(workload, core_cfg, cores)
     liveness = None
     if prune:
         from repro.core.liveness import liveness_for

@@ -16,9 +16,9 @@ Architecture (one parent, N workers behind a pluggable backend):
   (length-prefixed frames over pipes) are interchangeable, and a
   multi-host backend plugs into the same two methods (``spawn``/``recv``).
 * **Sharding with workload affinity.**  Cells are grouped by workload and
-  groups are handed to workers whole, so a worker builds the expensive
-  :class:`~repro.core.campaign.CheckpointedWorkload` snapshot set once per
-  workload instead of once per cell.
+  groups are handed to workers whole, so a worker fills a workload's
+  :class:`~repro.core.campaign.CheckpointedWorkload` snapshot set once
+  instead of once per cell.
 * **Single-writer store.**  Workers never touch the
   :class:`~repro.core.campaign.CampaignStore`; they stream ``CellResult``s
   and mid-cell checkpoints to the parent, which is the only process

@@ -25,10 +25,11 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
 from repro.kernel.layout import MemoryLayout
+from repro.restorable import Restorable
 
 
 @dataclass(frozen=True)
-class CoreConfig:
+class CoreConfig(Restorable):
     """Microarchitectural parameters of the simulated CPU."""
 
     # Pipeline widths (Table I: fetch/execute/writeback = 2/4/4).

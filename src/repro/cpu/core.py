@@ -35,6 +35,7 @@ from repro.mem.tlb import ACCESS_EXEC, ACCESS_LOAD, ACCESS_STORE, FAULT_PAGE, TL
 from repro.cpu.config import CoreConfig
 from repro.cpu.regfile import PhysRegFile
 from repro.cpu.uop import DONE, ISSUED, WAITING, MicroOp
+from repro.restorable import Restorable
 
 MASK32 = 0xFFFFFFFF
 
@@ -69,7 +70,7 @@ class CoreStats:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
-class OutOfOrderCore:
+class OutOfOrderCore(Restorable):
     """Cycle-level out-of-order core bound to a memory hierarchy."""
 
     def __init__(

@@ -14,10 +14,12 @@ miscellaneous registers (exception/syscall save state) — see
 
 from __future__ import annotations
 
+from repro.restorable import Restorable
+
 MASK32 = 0xFFFFFFFF
 
 
-class PhysRegFile:
+class PhysRegFile(Restorable):
     """Values + ready bits for the physical registers."""
 
     def __init__(self, phys_regs: int, misc_regs: int) -> None:

@@ -47,13 +47,14 @@ from repro.mem.physmem import PhysicalMemory
 from repro.mem.sram import InjectableArray
 from repro.cpu.config import DEFAULT_CONFIG, CoreConfig
 from repro.cpu.system import CoreBundle
+from repro.restorable import Restorable
 
 #: Hard cap on the configurable core count (keeps worker stack slices and
 #: campaign budgets sane; the paper's platforms are 1-8 cores).
 MAX_CORES = 8
 
 
-class SMPSystem:
+class SMPSystem(Restorable):
     """One simulated N-core machine instance (build, load, run — like System)."""
 
     def __init__(self, cfg: CoreConfig = DEFAULT_CONFIG, ncores: int = 2) -> None:

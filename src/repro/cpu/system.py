@@ -19,12 +19,13 @@ from repro.mem.sram import InjectableArray
 from repro.mem.tlb import TLB
 from repro.cpu.config import DEFAULT_CONFIG, CoreConfig
 from repro.cpu.core import OutOfOrderCore
+from repro.restorable import Restorable
 
 #: Stable component names used across injection, analysis and reporting.
 COMPONENT_NAMES = ("l1d", "l1i", "l2", "regfile", "dtlb", "itlb")
 
 
-class CoreBundle:
+class CoreBundle(Restorable):
     """One core's private state: L1 caches, TLBs, and the pipeline.
 
     The single-core :class:`System` builds exactly one bundle with an empty
@@ -80,7 +81,7 @@ class CoreBundle:
         return pipe
 
 
-class System:
+class System(Restorable):
     """One simulated machine instance."""
 
     def __init__(self, cfg: CoreConfig = DEFAULT_CONFIG) -> None:

@@ -22,10 +22,11 @@ from dataclasses import dataclass
 
 from repro.mem.paging import PAGE_SIZE
 from repro.mem.physmem import DEFAULT_PHYS_SIZE
+from repro.restorable import Restorable
 
 
 @dataclass(frozen=True)
-class MemoryLayout:
+class MemoryLayout(Restorable):
     """Address-space constants shared by the loader, kernel and compiler."""
 
     text_base: int = 0x0001_0000

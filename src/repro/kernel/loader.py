@@ -15,10 +15,11 @@ from repro.isa.program import Program
 from repro.kernel.layout import MemoryLayout
 from repro.mem.paging import PAGE_SHIFT, PAGE_SIZE, PageTable
 from repro.mem.physmem import PhysicalMemory
+from repro.restorable import Restorable
 
 
 @dataclass(frozen=True)
-class LoadedProcess:
+class LoadedProcess(Restorable):
     """Result of loading a program: where execution starts."""
 
     entry_pc: int

@@ -25,6 +25,7 @@ import enum
 from repro.isa.semantics import to_signed
 from repro.kernel.layout import MemoryLayout
 from repro.kernel.status import CrashReason
+from repro.restorable import Restorable
 
 
 class Syscall(enum.IntEnum):
@@ -54,7 +55,7 @@ def worker_sp(layout: MemoryLayout, core_id: int, ncores: int) -> int:
     return layout.stack_top - 16 - core_id * slice_size
 
 
-class Kernel:
+class Kernel(Restorable):
     """Holds per-process OS state: the output stream and exit status."""
 
     def __init__(self, output_limit: int = 1 << 20) -> None:

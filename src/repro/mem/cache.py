@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Union
 
 from repro.mem.physmem import PhysicalMemory
+from repro.restorable import Restorable
 
 NextLevel = Union["Cache", PhysicalMemory]
 
@@ -65,7 +66,7 @@ class CacheStats:
             metrics.counter(prefix + ".writebacks").inc(self.writebacks)
 
 
-class Cache:
+class Cache(Restorable):
     """One level of a set-associative write-back cache."""
 
     def __init__(

@@ -27,6 +27,7 @@ attached copy equals the shared level's view.
 from __future__ import annotations
 
 from repro.mem.cache import Cache
+from repro.restorable import Restorable
 
 
 class CoherenceStats:
@@ -57,7 +58,7 @@ class CoherenceStats:
             metrics.counter(prefix + ".upgrades").inc(self.upgrades)
 
 
-class CoherenceBus:
+class CoherenceBus(Restorable):
     """Snoop bus connecting per-core L1Ds above one shared level."""
 
     def __init__(self, shared: Cache) -> None:

@@ -10,6 +10,8 @@ paper's TLB campaigns exercise.
 
 from __future__ import annotations
 
+from repro.restorable import Restorable
+
 #: 64-byte pages — the platform is a scale model of the paper's machine
 #: (see DESIGN.md §5): workload footprints are scaled down together with
 #: cache/TLB/page capacities so that structure *occupancy ratios*, which AVF
@@ -24,7 +26,7 @@ VPN_BITS = 13
 PPN_BITS = 13
 
 
-class PageTable:
+class PageTable(Restorable):
     """Virtual-to-physical mapping for one address space.
 
     Each entry maps a virtual page number to ``(ppn, writable, executable,

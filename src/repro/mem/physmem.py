@@ -13,6 +13,7 @@ without an injection geometry.
 from __future__ import annotations
 
 from repro.errors import SimAssertion
+from repro.restorable import Restorable
 
 #: Default platform physical memory: 256 KiB (4096 frames of 64 B).  The
 #: 13-bit TLB frame numbers can name 2x more frames than the platform maps,
@@ -21,7 +22,7 @@ from repro.errors import SimAssertion
 DEFAULT_PHYS_SIZE = 256 * 1024
 
 
-class PhysicalMemory:
+class PhysicalMemory(Restorable):
     """Byte-addressable physical memory with range-checked access."""
 
     def __init__(self, size: int = DEFAULT_PHYS_SIZE, latency: int = 50) -> None:

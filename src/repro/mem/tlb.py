@@ -29,6 +29,7 @@ the paper's observed TLB failure modes:
 from __future__ import annotations
 
 from repro.mem.paging import PAGE_SHIFT, PAGE_SIZE, VPN_BITS, PageTable
+from repro.restorable import Restorable
 
 VALID_BIT = 1 << 31
 VPN_SHIFT = 18
@@ -83,7 +84,7 @@ class TLBEntryFields:
         return word
 
 
-class TLB:
+class TLB(Restorable):
     """One translation lookaside buffer backed by a hardware walker."""
 
     def __init__(

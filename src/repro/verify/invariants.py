@@ -43,15 +43,16 @@ from __future__ import annotations
 import hashlib
 
 from repro.errors import InvariantViolation
+from repro.restorable import Restorable
 
 
-class InvariantChecker:
+class InvariantChecker(Restorable):
     """Pluggable invariant checks over a live :class:`~repro.cpu.system.System`.
 
     An instance is attached to ``core.invariant_checker`` when
     ``CoreConfig.check_invariants`` is set; the core then calls
     :meth:`check_core` once per simulation step, after the commit stage.
-    Instances hold no state, so they survive ``deepcopy`` checkpointing.
+    Instances hold no state, so they ride along in pickled checkpoints.
     """
 
     # -- per-step core checks ------------------------------------------------

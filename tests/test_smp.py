@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.campaign import (
     CampaignConfig,
+    CheckpointedWorkload,
     golden_run,
     run_campaign,
     run_cell,
@@ -249,7 +250,7 @@ def test_two_core_supervised_verify_campaign_completes():
     ).cycles
 
 
-def test_smp_cells_reject_pruning_and_checkpoints():
+def test_smp_cells_reject_pruning_but_accept_checkpoints():
     config = CampaignConfig(
         workloads=("crc32_p",), components=("l2",), cardinalities=(1,),
         samples=1, cores=2,
@@ -257,8 +258,23 @@ def test_smp_cells_reject_pruning_and_checkpoints():
     with pytest.raises(ConfigError, match="prun"):
         run_cell("crc32_p", "l2", 1, config, prune=True)
     workload = get_workload("crc32_p")
-    generator = MultiBitFaultGenerator(seed="smp-test")
     with pytest.raises(ConfigError, match="single-core"):
         run_one_injection(
-            workload, "l2", generator, 1, 10, checkpoints=object(), cores=2,
+            workload, "l2", MultiBitFaultGenerator(seed="smp-test"), 1, 10,
+            liveness=object(), cores=2,
+        )
+    # Golden-prefix checkpoints work at any core count (their exactness
+    # is tested in test_checkpointing.py), but only for their own machine.
+    checkpoints = CheckpointedWorkload(workload, cores=2)
+    cycle = golden_run(workload, cores=2).cycles // 2
+    verdict, _, _ = run_one_injection(
+        workload, "l2", MultiBitFaultGenerator(seed="smp-test"), 1, cycle,
+        checkpoints=checkpoints, cores=2,
+    )
+    assert verdict is not None
+    assert checkpoints.captured
+    with pytest.raises(ConfigError, match="2-core machine"):
+        run_one_injection(
+            workload, "l2", MultiBitFaultGenerator(seed="smp-test"), 1, 10,
+            checkpoints=checkpoints, cores=4,
         )
