@@ -18,6 +18,7 @@ harnesses share one set of simulations.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import pickle
@@ -27,7 +28,7 @@ import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.core.avf import ClassCounts, weighted_avf
 from repro.core.classify import TIMEOUT_FACTOR, FaultClass, classify
@@ -41,6 +42,9 @@ from repro.cpu.config import DEFAULT_CONFIG, CoreConfig
 from repro.cpu.system import COMPONENT_NAMES, System
 from repro.workloads import get_workload, workload_names
 from repro.workloads.base import Workload
+
+if TYPE_CHECKING:
+    from repro.core.liveness import LivenessTrace
 
 DEFAULT_CARDINALITIES = (1, 2, 3)
 
@@ -203,8 +207,6 @@ class CampaignConfig:
         share cache entries with — and stay byte-identical to — a plain
         run.
         """
-        import dataclasses
-
         from repro.mem.paging import PAGE_SHIFT
 
         platform_cfg = dataclasses.replace(core_cfg, check_invariants=False)
@@ -463,6 +465,107 @@ def _checkpoints_for(
     return cached
 
 
+#: Extra steps granted beyond the cycle budget before the watchdog trips.
+#: Every legal pipeline step advances the cycle counter by at least one, so
+#: steps can never legitimately exceed cycles; the slack absorbs the
+#: bookkeeping steps around termination.
+WATCHDOG_SLACK_STEPS = 10_000
+
+
+@dataclass(frozen=True)
+class InjectionPlan:
+    """Everything one cell's injections share, fixed before its first sample.
+
+    *golden* is the machine's fault-free run (the injection window and the
+    classification reference); *checkpoints* (a
+    :class:`CheckpointedWorkload` of the same machine) skip re-simulating
+    most of each golden prefix; *liveness* (a
+    :class:`~repro.core.liveness.LivenessTrace`) prunes provably-dead
+    masks; *verify* adds the oracle cross-checks; *max_steps* arms the
+    step-count watchdog on the faulty run.  None of these changes a
+    verdict, so every plan of one cell yields the same bytes.  Build plans
+    with :meth:`build`, which enforces the rules between the options.
+    """
+
+    golden: RunResult
+    core_cfg: CoreConfig = DEFAULT_CONFIG
+    cores: int = 1
+    checkpoints: "CheckpointedWorkload | None" = None
+    liveness: "LivenessTrace | None" = None
+    verify: bool = False
+    max_steps: int | None = None
+
+    @staticmethod
+    def check(cores: int, prune: bool) -> None:
+        """Reject option combinations no plan can honour."""
+        if prune and cores != 1:
+            raise ConfigError(
+                "liveness pruning is a single-core service: it traces a "
+                f"single-core golden run and cannot prune a {cores}-core "
+                "campaign"
+            )
+
+    @classmethod
+    def build(
+        cls,
+        workload: Workload,
+        core_cfg: CoreConfig = DEFAULT_CONFIG,
+        *,
+        cores: int = 1,
+        checkpoints: "CheckpointedWorkload | bool" = False,
+        prune: bool = False,
+        verify: bool = False,
+        watchdog: bool = False,
+    ) -> "InjectionPlan":
+        """The plan of one cell of *workload* on a *cores*-core machine.
+
+        *checkpoints* is a snapshot set of that machine, ``True`` for the
+        shared cached one, or ``False`` for none.  *prune* builds (or
+        fetches) the liveness trace; *verify* first cross-checks the
+        fault-free run against the ISA-level reference oracle; *watchdog*
+        derives the step budget from the golden run.
+        """
+        cls.check(cores, prune)
+        if (
+            isinstance(checkpoints, CheckpointedWorkload)
+            and checkpoints.cores != cores
+        ):
+            raise ConfigError(
+                f"checkpoints of a {checkpoints.cores}-core machine cannot "
+                f"restore a {cores}-core injection"
+            )
+        golden = golden_run(workload, core_cfg, cores=cores)
+        if verify:
+            from repro.verify.differential import verify_workload
+
+            verify_workload(workload, core_cfg, cores=cores)
+        if checkpoints is True:
+            checkpoints = _checkpoints_for(workload, core_cfg, cores)
+        liveness = None
+        if prune:
+            from repro.core.liveness import liveness_for
+
+            liveness = liveness_for(workload, core_cfg)
+        return cls(
+            golden=golden,
+            core_cfg=core_cfg,
+            cores=cores,
+            checkpoints=checkpoints or None,
+            liveness=liveness,
+            verify=verify,
+            max_steps=(
+                TIMEOUT_FACTOR * golden.cycles + WATCHDOG_SLACK_STEPS
+                if watchdog else None
+            ),
+        )
+
+    def system_at(self, workload: Workload, cycle: int):
+        """A machine to run forward to *cycle*: restored or fresh."""
+        if self.checkpoints is not None:
+            return self.checkpoints.system_at(cycle)
+        return build_system(workload, self.core_cfg, self.cores)
+
+
 #: One in this many pruned-Masked verdicts is cross-checked end-to-end by
 #: full simulation under ``--verify`` (deterministically selected by mask
 #: hash, so the audited subset is stable across runs and job counts).
@@ -481,10 +584,7 @@ def _audit_pruned_sample(
     component: str,
     mask: FaultMask,
     inject_cycle: int,
-    golden: RunResult,
-    core_cfg: CoreConfig,
-    checkpoints: "CheckpointedWorkload | None",
-    max_steps: int | None,
+    plan: InjectionPlan,
 ) -> None:
     """Fully simulate a fault the pruner declared Masked; raise if not.
 
@@ -494,16 +594,12 @@ def _audit_pruned_sample(
     """
     from repro.errors import VerificationError
 
-    max_cycles = TIMEOUT_FACTOR * golden.cycles
-    if checkpoints is not None:
-        system = checkpoints.system_at(inject_cycle)
-    else:
-        system = System(core_cfg)
-        system.load(workload.program())
-    system.run_until(inject_cycle, max_cycles, max_steps=max_steps)
+    max_cycles = TIMEOUT_FACTOR * plan.golden.cycles
+    system = plan.system_at(workload, inject_cycle)
+    system.run_until(inject_cycle, max_cycles, max_steps=plan.max_steps)
     inject(system, mask)
-    result = system.run(max_cycles, max_steps=max_steps)
-    verdict = classify(result, golden)
+    result = system.run(max_cycles, max_steps=plan.max_steps)
+    verdict = classify(result, plan.golden)
     if verdict is not FaultClass.MASKED:
         raise VerificationError(
             f"liveness pruner misclassified {workload.name}/{component} "
@@ -518,49 +614,33 @@ def run_one_injection(
     generator: MultiBitFaultGenerator,
     cardinality: int,
     inject_cycle: int,
-    core_cfg: CoreConfig = DEFAULT_CONFIG,
-    checkpoints: CheckpointedWorkload | None = None,
-    max_steps: int | None = None,
+    plan: InjectionPlan | None = None,
     trace: dict | None = None,
-    verify: bool = False,
-    liveness=None,
-    cores: int = 1,
 ) -> tuple[FaultClass, RunResult, FaultMask]:
     """One complete injection experiment; see the module docstring.
 
-    *cores* > 1 runs the experiment on an N-core SMP machine (the six
-    standard component names alias core 0's private structures plus the
-    shared L2, so a cell means the same thing at every core count);
-    liveness pruning is a single-core service.
-
-    Pass *checkpoints* (see :class:`CheckpointedWorkload`, built for the
-    same core count) to skip re-simulating most of the fault-free prefix;
-    the outcome is identical.
-    *max_steps* arms the step-count watchdog on the faulty run; *trace*,
-    when a dict, receives intermediate artifacts (currently ``"mask"``) so
-    a supervisor can build a repro bundle even when the run blows up later.
-    *verify* adds oracle cross-checks (mask-application accounting, and
-    Masked outcomes compared against the ISA-level reference); the checks
-    consume no randomness and never touch simulation state, so the
-    returned verdict/result/mask are bit-identical either way.
-    *liveness* (a :class:`~repro.core.liveness.LivenessTrace`) enables
-    mask pruning: a fault whose flipped bits are all provably dead during
-    the golden run is classified Masked without simulating anything —
-    the faulty run would be bit-identical to the golden run — and only
+    *plan* (see :class:`InjectionPlan`; default: a plain single-core
+    plan) fixes the machine and the services the experiment uses.  On an
+    N-core plan the six standard component names alias core 0's private
+    structures plus the shared L2, so a cell means the same thing at every
+    core count.  Checkpoint restores, the watchdog and *verify*'s oracle
+    cross-checks (mask-application accounting, and Masked outcomes
+    compared against the ISA-level reference) consume no randomness and
+    never touch simulation state, so the returned verdict/result/mask are
+    bit-identical under every plan.  A plan's liveness trace enables mask
+    pruning: a fault whose flipped bits are all provably dead during the
+    golden run is classified Masked without simulating anything — the
+    faulty run would be bit-identical to the golden run — and only
     undecided faults fall through to full simulation.  The mask is drawn
     from the same RNG stream against the recorded geometry, so pruned
     results are byte-identical to unpruned ones.
+    *trace*, when a dict, receives intermediate artifacts (currently
+    ``"mask"``) so a supervisor can build a repro bundle even when the run
+    blows up later.
     """
-    if cores != 1 and liveness is not None:
-        raise ConfigError(
-            f"liveness pruning is a single-core service (cores={cores})"
-        )
-    if checkpoints is not None and checkpoints.cores != cores:
-        raise ConfigError(
-            f"checkpoints of a {checkpoints.cores}-core machine cannot "
-            f"restore a {cores}-core injection"
-        )
-    golden = golden_run(workload, core_cfg, cores=cores)
+    if plan is None:
+        plan = InjectionPlan.build(workload)
+    golden = plan.golden
     max_cycles = TIMEOUT_FACTOR * golden.cycles
     # Phase timing is guarded per site so the telemetry-off path costs one
     # attribute check; none of it touches RNGs or simulation state, so the
@@ -568,6 +648,7 @@ def run_one_injection(
     tel = obs.active()
     clock = time.perf_counter
     mask = None
+    liveness = plan.liveness
     if liveness is not None:
         begin = clock() if tel is not None else 0.0
         mask = generator.generate(
@@ -583,22 +664,18 @@ def run_one_injection(
                     clock() - begin
                 )
                 tel.metrics.counter("sim.injections").inc()
-            if verify and _prune_audit_selected(
+            if plan.verify and _prune_audit_selected(
                 workload.name, mask, inject_cycle
             ):
                 _audit_pruned_sample(
-                    workload, component, mask, inject_cycle, golden,
-                    core_cfg, checkpoints, max_steps,
+                    workload, component, mask, inject_cycle, plan
                 )
             return FaultClass.MASKED, golden, mask
         if tel is not None:
             tel.metrics.counter("sim.undecided." + component).inc()
             tel.metrics.counter("sim.undecided.total").inc()
     begin = clock() if tel is not None else 0.0
-    if checkpoints is not None:
-        system = checkpoints.system_at(inject_cycle)
-    else:
-        system = build_system(workload, core_cfg, cores)
+    system = plan.system_at(workload, inject_cycle)
     if tel is not None:
         restored = clock()
         tel.metrics.histogram("time.phase.restore").observe(restored - begin)
@@ -608,7 +685,9 @@ def run_one_injection(
         )
         if trace is not None:
             trace["mask"] = mask
-    reached = system.run_until(inject_cycle, max_cycles, max_steps=max_steps)
+    reached = system.run_until(
+        inject_cycle, max_cycles, max_steps=plan.max_steps
+    )
     if not reached:  # pragma: no cover - golden prefix is deterministic
         raise ConfigError(
             f"injection cycle {inject_cycle} not reachable in "
@@ -617,7 +696,7 @@ def run_one_injection(
     if tel is not None:
         prefixed = clock()
         tel.metrics.histogram("time.phase.prefix").observe(prefixed - restored)
-    if verify:
+    if plan.verify:
         from repro.verify.invariants import (
             check_mask_applied, snapshot_mask_bits,
         )
@@ -628,15 +707,15 @@ def run_one_injection(
         check_mask_applied(target, mask, before)
     else:
         inject(system, mask)
-    result = system.run(max_cycles, max_steps=max_steps)
+    result = system.run(max_cycles, max_steps=plan.max_steps)
     if tel is not None:
         ran = clock()
         tel.metrics.histogram("time.phase.faulty").observe(ran - prefixed)
     verdict = classify(result, golden)
-    if verify and verdict is FaultClass.MASKED:
+    if plan.verify and verdict is FaultClass.MASKED:
         from repro.verify.differential import check_masked_run
 
-        check_masked_run(workload, result, core_cfg, cores=cores)
+        check_masked_run(workload, result, plan.core_cfg, cores=plan.cores)
     if tel is not None:
         tel.metrics.histogram("time.phase.classify").observe(clock() - ran)
         tel.metrics.counter("sim.injections").inc()
@@ -657,12 +736,14 @@ def _rng_state_from_json(data: list) -> tuple:
 
 @dataclass
 class CellCheckpoint:
-    """Mid-cell progress: everything needed to resume sample *samples_done*.
+    """A cell's progress: everything needed to continue at *samples_done*.
 
     Both RNG states are captured *after* the last counted sample, so a
     resumed cell draws exactly the injection cycles and fault masks the
     uninterrupted run would have drawn — the resumed `ClassCounts` is
-    bit-identical, not merely statistically equivalent.
+    bit-identical, not merely statistically equivalent.  A finished cell's
+    end state is a checkpoint too: :func:`run_cell` returns one, and
+    :meth:`CellTask.result` turns it into the cell's :class:`CellResult`.
     """
 
     samples_done: int
@@ -691,6 +772,36 @@ class CellCheckpoint:
         )
 
 
+@dataclass(frozen=True)
+class CellTask:
+    """One unit of cell work: run a cell from *start* up to *samples* samples.
+
+    *index* is the cell's position in the caller's canonical cell order —
+    the merge key of parallel runs — and *cell_key* names its store entry.
+    A campaign's tasks run whole cells (*samples* is the configured
+    budget, *start* a stored checkpoint when resuming); an adaptive wave's
+    tasks advance cells by a batch from their previous end states.
+    """
+
+    index: int
+    workload: str
+    component: str
+    cardinality: int
+    samples: int
+    cell_key: str
+    start: CellCheckpoint | None = None
+    attempt: int = 0  # 0 on first dispatch; >0 on retries
+
+    def result(self, state: CellCheckpoint) -> CellResult:
+        return CellResult(
+            workload=self.workload,
+            component=self.component,
+            cardinality=self.cardinality,
+            counts=state.counts,
+            golden_cycles=state.golden_cycles,
+        )
+
+
 #: Persist a mid-cell checkpoint every this many samples when a store is
 #: attached.  At the paper's 2,000 samples/cell this bounds lost work after
 #: a kill to ~12% of one cell.
@@ -708,18 +819,20 @@ def run_cell(
     store: "CampaignStore | None" = None,
     cell_key: str | None = None,
     checkpoint_every: int | None = DEFAULT_CHECKPOINT_EVERY,
-    resume: bool = True,
+    start: CellCheckpoint | None = None,
     stop: Callable[[], bool] | None = None,
     verify: bool = False,
     prune: bool = False,
-) -> CellResult:
-    """Run all of one cell's injections.
+) -> CellCheckpoint:
+    """Run a cell's injections up to ``config.samples``; return its end state.
 
-    With *verify*, the workload's fault-free run is first cross-checked in
-    lock step against the ISA-level reference oracle (cached per workload +
-    config), and every sample adds the oracle checks described under
-    :func:`run_one_injection`.  Verification consumes no randomness, so a
-    verified cell's counts are byte-identical to an unverified one's.
+    This is the only sample loop: whole cells, resumed cells and adaptive
+    waves all run through it.  The cell's :class:`InjectionPlan` is built
+    first.  With *verify*, the workload's fault-free run is cross-checked
+    in lock step against the ISA-level reference oracle (cached per
+    workload + config), and every sample adds the oracle checks described
+    under :func:`run_one_injection`.  Verification consumes no randomness,
+    so a verified cell's counts are byte-identical to an unverified one's.
 
     With *prune*, a liveness trace of the golden run (cached per workload +
     platform, see :mod:`repro.core.liveness`) classifies provably-dead
@@ -727,83 +840,78 @@ def run_cell(
     the ordinary path.  Pruning is conservative by construction, so the
     cell's counts are byte-identical to an unpruned run's — only faster.
 
-    With *store* and *cell_key*, mid-cell progress is checkpointed every
-    *checkpoint_every* samples and (when *resume* is true) picked up again
-    on the next call, reproducing the uninterrupted result bit-for-bit.
-    With *supervisor*, each injection runs inside its isolation boundary:
-    infra failures become journalled incidents instead of aborting the cell
+    *start* (a checkpoint of this cell, e.g. ``store.get_partial(key)`` or
+    an earlier call's end state) continues the cell where it left off,
+    reproducing the uninterrupted run bit-for-bit; without it the cell
+    opens at sample 0, which is when ``sim.cells`` counts it.  With
+    *store* and *cell_key*, mid-cell progress is checkpointed every
+    *checkpoint_every* samples.  With *supervisor*, each injection runs
+    inside its isolation boundary under the supervisor's watchdog: infra
+    failures become journalled incidents instead of aborting the cell
     (such samples are dropped from the histogram — they are not fault
-    effects, so ``counts.total`` may be less than ``config.samples``).
-    *stop* is probed between samples; when it returns true the cell flushes
-    one final checkpoint (so a later resume is bit-identical) and raises
-    :class:`~repro.errors.CampaignInterrupted` — the graceful-drain hook of
-    the parallel executor and of Ctrl-C handling.
+    effects, so ``counts.total`` may be less than ``samples_done``).
+    *stop* is probed between samples; when it returns true the cell
+    flushes one final checkpoint (so a later resume is bit-identical) and
+    raises :class:`~repro.errors.CampaignInterrupted` — the graceful-drain
+    hook of the parallel executor and of Ctrl-C handling.
     """
     tel = obs.active()
-    cores = config.cores
-    if cores != 1 and prune:
-        raise ConfigError(
-            "liveness pruning traces a single-core golden run; "
-            f"it cannot prune an SMP campaign (cores={cores})"
-        )
     workload = get_workload(workload_name)
-    golden = golden_run(workload, core_cfg, cores=cores)
-    if verify:
-        from repro.verify.differential import verify_workload
-
-        verify_workload(workload, core_cfg, cores=cores)
+    plan = InjectionPlan.build(
+        workload, core_cfg, cores=config.cores, checkpoints=True,
+        prune=prune, verify=verify,
+        watchdog=supervisor is not None and supervisor.watchdog,
+    )
     cell_seed = f"{config.seed}:{workload_name}:{component}:{cardinality}"
     generator = MultiBitFaultGenerator(
         cluster=config.cluster, mode=config.placement, seed=cell_seed
     )
     cycle_rng = random.Random(f"repro-cycles:{cell_seed}")
-    checkpoints = _checkpoints_for(workload, core_cfg, cores)
-    liveness = None
-    if prune:
-        from repro.core.liveness import liveness_for
+    counts = ClassCounts()
+    first = 0
+    if start is None:
+        if tel is not None:
+            tel.metrics.counter("sim.cells").inc()
+    else:
+        counts = counts.merged(start.counts)
+        first = start.samples_done
+        cycle_rng.setstate(start.cycle_rng_state)
+        generator.set_rng_state(start.generator_rng_state)
+    persist = store is not None and cell_key is not None
 
-        liveness = liveness_for(workload, core_cfg)
-    cell_span = obs.span(
+    def state(samples_done: int) -> CellCheckpoint:
+        # A copy of the counts: checkpoints may be sent on while the
+        # loop keeps counting.
+        return CellCheckpoint(
+            samples_done=samples_done,
+            counts=ClassCounts().merged(counts),
+            cycle_rng_state=cycle_rng.getstate(),
+            generator_rng_state=generator.rng_state(),
+            golden_cycles=plan.golden.cycles,
+        )
+
+    with obs.span(
         "cell", workload=workload_name, component=component,
         cardinality=cardinality,
-    )
-    counts = ClassCounts()
-    start = 0
-    if store is not None and cell_key is not None and resume:
-        partial = store.get_partial(cell_key)
-        if partial is not None and partial.samples_done <= config.samples:
-            counts = partial.counts
-            start = partial.samples_done
-            cycle_rng.setstate(partial.cycle_rng_state)
-            generator.set_rng_state(partial.generator_rng_state)
-    with cell_span:
-        for index in range(start, config.samples):
+    ):
+        for index in range(first, config.samples):
             if stop is not None and stop():
-                if store is not None and cell_key is not None and index > start:
-                    store.put_partial(cell_key, CellCheckpoint(
-                        samples_done=index,
-                        counts=counts,
-                        cycle_rng_state=cycle_rng.getstate(),
-                        generator_rng_state=generator.rng_state(),
-                        golden_cycles=golden.cycles,
-                    ))
+                if persist and index > first:
+                    store.put_partial(cell_key, state(index))
                 raise CampaignInterrupted(
                     f"stopped {workload_name}/{component}/{cardinality}-bit at "
                     f"sample {index}/{config.samples}"
                 )
-            inject_cycle = cycle_rng.randrange(golden.cycles)
+            inject_cycle = cycle_rng.randrange(plan.golden.cycles)
             if supervisor is not None:
                 fault_class = supervisor.run_injection(
                     workload, component, generator, cardinality, inject_cycle,
-                    core_cfg, checkpoints=checkpoints,
-                    cell_seed=cell_seed, sample_index=index,
-                    verify=verify, liveness=liveness, cores=cores,
+                    plan, cell_seed=cell_seed, sample_index=index,
                 )
             else:
                 fault_class, _, _ = run_one_injection(
                     workload, component, generator, cardinality, inject_cycle,
-                    core_cfg, checkpoints=checkpoints, verify=verify,
-                    liveness=liveness, cores=cores,
+                    plan,
                 )
             if fault_class is not None:
                 counts.add(fault_class)
@@ -817,33 +925,109 @@ def run_cell(
                 tel.metrics.counter("sim.samples").inc()
             done = index + 1
             if (
-                store is not None
-                and cell_key is not None
+                persist
                 and checkpoint_every
                 and done % checkpoint_every == 0
                 and done < config.samples
             ):
-                store.put_partial(cell_key, CellCheckpoint(
-                    samples_done=done,
-                    counts=counts,
-                    cycle_rng_state=cycle_rng.getstate(),
-                    generator_rng_state=generator.rng_state(),
-                    golden_cycles=golden.cycles,
-                ))
+                store.put_partial(cell_key, state(done))
                 if tel is not None:
                     tel.metrics.counter("exec.checkpoints_written").inc()
-    if tel is not None:
-        tel.metrics.counter("sim.cells").inc()
-    return CellResult(
-        workload=workload_name,
-        component=component,
-        cardinality=cardinality,
-        counts=counts,
-        golden_cycles=golden.cycles,
+    return state(config.samples)
+
+
+def run_task(
+    task: CellTask, config: CampaignConfig,
+    core_cfg: CoreConfig = DEFAULT_CONFIG, **options,
+) -> CellCheckpoint:
+    """:func:`run_cell` on *task*; *options* are its keyword arguments."""
+    return run_cell(
+        task.workload, task.component, task.cardinality,
+        dataclasses.replace(config, samples=task.samples), core_cfg,
+        cell_key=task.cell_key, start=task.start, **options,
     )
 
 
+def run_tasks(
+    tasks: Iterable[CellTask],
+    config: CampaignConfig,
+    core_cfg: CoreConfig = DEFAULT_CONFIG,
+    *,
+    store: "CampaignStore | None" = None,
+    done: Callable[[CellTask, CellCheckpoint], None] | None = None,
+    **options,
+) -> None:
+    """The serial executor: run *tasks* in order, in-process.
+
+    Each finished cell's result goes to *store* (under the task's cell
+    key) before *done* hears of its end state; *options* are
+    :func:`run_cell`'s keyword arguments.
+    """
+    for task in tasks:
+        state = run_task(task, config, core_cfg, store=store, **options)
+        if store is not None:
+            store.put(task.cell_key, task.result(state))
+        if done is not None:
+            done(task, state)
+
+
 ProgressFn = Callable[[int, int, CellResult], None]
+
+
+class CampaignCells:
+    """One campaign's cells: the ones a store already holds, the tasks
+    still to run, and in-order progress as their results arrive.
+
+    Progress fires in canonical ``config.cells()`` order no matter in
+    which order cells finish, so serial and parallel runs report alike.
+    """
+
+    def __init__(
+        self,
+        config: CampaignConfig,
+        store: "CampaignStore | None",
+        core_cfg: CoreConfig,
+        resume: bool,
+        progress: ProgressFn | None,
+    ) -> None:
+        self.progress = progress
+        self.results: dict[int, CellResult] = {}
+        self.tasks: list[CellTask] = []
+        self.emitted = 0
+        cells = config.cells()
+        self.total = len(cells)
+        for index, (workload, component, cardinality) in enumerate(cells):
+            key = config.cell_key(workload, component, cardinality, core_cfg)
+            cached = store.get(key) if store is not None else None
+            if cached is not None:
+                self.results[index] = cached
+                continue
+            self.tasks.append(CellTask(
+                index, workload, component, cardinality, config.samples, key,
+                start=(
+                    store.get_partial(key)
+                    if store is not None and resume else None
+                ),
+            ))
+        self._emit()
+
+    def done(self, task: CellTask, state: CellCheckpoint) -> None:
+        self.results[task.index] = task.result(state)
+        self._emit()
+
+    def _emit(self) -> None:
+        while self.emitted in self.results:
+            if self.progress is not None:
+                self.progress(
+                    self.emitted + 1, self.total, self.results[self.emitted]
+                )
+            self.emitted += 1
+
+    def result(self, incidents: int) -> CampaignResult:
+        return CampaignResult(
+            [self.results[index] for index in range(self.total)],
+            incidents=incidents,
+        )
 
 
 class SupervisorLike:
@@ -853,6 +1037,8 @@ class SupervisorLike:
     stub only documents the contract and keeps campaign.py import-free of
     the supervisor layer.
     """
+
+    watchdog: bool = True
 
     def run_injection(self, *args, **kwargs) -> FaultClass | None:
         raise NotImplementedError  # pragma: no cover
@@ -882,11 +1068,13 @@ def run_campaign(
     selects the worker transport (*backend_options* are forwarded to its
     constructor — e.g. the socket coordinator's listen address) and
     *policy* (a :class:`~repro.core.executor.ResiliencePolicy`) tunes the
-    fabric's failure handling; all three are ignored for serial runs.  *verify* turns
-    on the oracle cross-checks of :func:`run_cell` for every cell; results
-    stay byte-identical to a non-verify run.  *prune* turns on liveness
-    mask pruning (see :func:`run_cell`); results again stay byte-identical,
-    which is why neither flag enters the cell cache key.
+    fabric's failure handling; all three are ignored for serial runs.
+    *resume* continues cells from the store's mid-cell checkpoints.
+    *verify* turns on the oracle cross-checks of :func:`run_cell` for
+    every cell; results stay byte-identical to a non-verify run.  *prune*
+    turns on liveness mask pruning (see :func:`run_cell`); results again
+    stay byte-identical, which is why neither flag enters the cell cache
+    key.
     """
     if jobs > 1:
         from repro.core.parallel import run_campaign_parallel
@@ -898,25 +1086,15 @@ def run_campaign(
             verify=verify, prune=prune, backend=backend,
             backend_options=backend_options, policy=policy,
         )
-    cells = config.cells()
-    results: list[CellResult] = []
-    for index, (workload, component, cardinality) in enumerate(cells):
-        key = config.cell_key(workload, component, cardinality, core_cfg)
-        cached = store.get(key) if store is not None else None
-        if cached is None:
-            cached = run_cell(
-                workload, component, cardinality, config, core_cfg,
-                supervisor=supervisor, store=store, cell_key=key,
-                checkpoint_every=checkpoint_every, resume=resume,
-                verify=verify, prune=prune,
-            )
-            if store is not None:
-                store.put(key, cached)
-        results.append(cached)
-        if progress is not None:
-            progress(index + 1, len(cells), cached)
-    incidents = supervisor.incident_count if supervisor is not None else 0
-    return CampaignResult(results, incidents=incidents)
+    cells = CampaignCells(config, store, core_cfg, resume, progress)
+    run_tasks(
+        cells.tasks, config, core_cfg, store=store, done=cells.done,
+        supervisor=supervisor, checkpoint_every=checkpoint_every,
+        verify=verify, prune=prune,
+    )
+    return cells.result(
+        supervisor.incident_count if supervisor is not None else 0
+    )
 
 
 #: On-disk store schema.  Version 1 was a bare ``{key: cell}`` mapping

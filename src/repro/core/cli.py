@@ -34,6 +34,7 @@ from repro.core.campaign import (
     CampaignConfig,
     CampaignResult,
     CampaignStore,
+    InjectionPlan,
     golden_run,
     run_campaign,
 )
@@ -84,8 +85,8 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
         "--cores", type=int, default=1, metavar="N",
         help="simulate an N-core SMP machine sharing one L2 (default 1, "
         "the paper's machine; --cores 1 is byte-identical to omitting "
-        "the flag, other counts key their own cache cells; incompatible "
-        "with --prune-masked and --adaptive)",
+        "the flag, other counts key their own cache cells; liveness "
+        "pruning is single-core, so --prune-masked needs --cores 1)",
     )
     parser.add_argument(
         "--cluster", default="3x3", help="cluster shape ROWSxCOLS"
@@ -132,8 +133,7 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
         "--backend", choices=sorted(ALL_BACKEND_NAMES),
         default="multiprocessing",
         help="executor backend for --jobs: 'multiprocessing' (in-process "
-        "pool, default), 'subprocess' (spawned workers over CRC-checked "
-        "pipe frames) or 'socket' (TCP coordinator for distributed "
+        "pool, default) or 'socket' (TCP coordinator for distributed "
         "workers — see --listen); results are byte-identical either way",
     )
     parser.add_argument(
@@ -201,8 +201,10 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
         "--adaptive", action="store_true",
         help="stop each cell early once its AVF confidence interval "
         "reaches --ci-target and reallocate the freed samples to the "
-        "widest intervals; --samples becomes a per-cell budget ceiling "
-        "(incompatible with --store/--resume; runs unsupervised)",
+        "widest intervals; --samples becomes a per-cell budget ceiling. "
+        "Waves run supervised, on every backend and at any --cores; "
+        "incompatible with --store/--resume (adaptive cells have no fixed "
+        "sample count to cache under)",
     )
     parser.add_argument(
         "--ci-target", type=float, default=0.02, metavar="E",
@@ -343,12 +345,6 @@ def _install_graceful_signals() -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     _install_graceful_signals()
-    try:
-        policy = _policy_from_args(args)
-        backend_options = _backend_options(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     from repro.cpu.smp import MAX_CORES
 
     if not 1 <= config.cores <= MAX_CORES:
@@ -358,12 +354,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if config.cores != 1 and (args.prune_masked or args.adaptive):
-        print(
-            "error: --cores > 1 is incompatible with --prune-masked and "
-            "--adaptive (both replay single-core golden state)",
-            file=sys.stderr,
-        )
+    try:
+        policy = _policy_from_args(args)
+        backend_options = _backend_options(args)
+        InjectionPlan.check(config.cores, args.prune_masked)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.adaptive and (args.store or args.resume):
         # Adaptive cells have no fixed sample count, so they cannot share
@@ -416,8 +412,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 config, args.ci_target,
                 jobs=args.jobs, progress=progress,
                 events=lambda message: print(message, file=sys.stderr),
-                core_cfg=core_cfg,
+                core_cfg=core_cfg, supervisor=supervisor,
                 verify=args.verify, prune=args.prune_masked,
+                backend=args.backend, backend_options=backend_options,
+                policy=policy,
             )
             result = adaptive.result
             print(

@@ -2,11 +2,12 @@
 
 One campaign, many hosts.  The parent (the *coordinator*) listens on a
 TCP port; each worker host runs ``repro-campaign worker --connect
-HOST:PORT`` and speaks exactly the protocol the in-process backends
-speak — the same :func:`~repro.core.executor.worker_loop`, the same
-messages, now carried as CRC-checked, epoch-stamped frames
-(:mod:`repro.core.wire`) over a socket instead of a pipe.  The scheduler
-in :mod:`repro.core.parallel` cannot tell the difference, which is the
+HOST:PORT`` and speaks exactly the protocol the multiprocessing
+backend's workers speak — the same
+:func:`~repro.core.executor.worker_loop`, the same messages, now carried
+as CRC-checked, epoch-stamped frames (:mod:`repro.core.wire`) over a
+socket instead of a process queue.  The scheduler in
+:mod:`repro.core.parallel` cannot tell the difference, which is the
 point: leases, retries, quarantine and the byte-identical-to-serial
 guarantee apply unchanged across a network boundary.
 
@@ -60,7 +61,6 @@ from pathlib import Path
 from repro import obs
 from repro.core import chaos as chaos_module
 from repro.core.executor import (
-    BACKENDS,
     ExecutorBackend,
     WorkerHandle,
     WorkerSpec,
@@ -384,9 +384,6 @@ class SocketBackend(ExecutorBackend):
         self._procs.append(proc)
 
 
-BACKENDS[SocketBackend.name] = SocketBackend
-
-
 # ---------------------------------------------------------------------------
 # The worker client (``repro-campaign worker``)
 # ---------------------------------------------------------------------------
@@ -507,6 +504,12 @@ def _serve_session(
         )
     finally:
         chaos_module.set_transport_hook(None)
+        # Wake the reader thread first: closing the buffered reader it is
+        # blocked in would wait for the coordinator to hang up.
+        try:
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         _close_quietly(rfile, wfile, sock)
     return ("shutdown" if state["shutdown"] else "lost"), epoch, spec
 

@@ -9,26 +9,24 @@ multicore PC or an SGE grid.
 
 Two backends ship today:
 
-* :class:`MultiprocessingBackend` — the original in-process
-  ``multiprocessing`` pool (fork when available, spawn otherwise),
-  talking over context queues.  Cheapest start-up, shares the parent's
-  warm caches over fork.
-* :class:`SubprocessBackend` — fully spawned ``subprocess`` workers
-  speaking **length-prefixed messages over pipes** (4-byte big-endian
-  length + pickled tuple).  Nothing is shared with the parent but the
-  byte stream, which is exactly the discipline a future multi-host
-  (SSH/container/socket) backend needs — this backend exists to prove
-  that seam and to keep it honest via the backend-conformance tests.
+* :class:`MultiprocessingBackend` — the in-process ``multiprocessing``
+  pool (fork when available, spawn otherwise), talking over context
+  queues.  Cheapest start-up, shares the parent's warm caches over fork.
+* the socket backend (:mod:`repro.core.coordinator`) — workers in fresh
+  interpreters, local or on other hosts, speaking CRC-checked frames
+  (:mod:`repro.core.wire`) over TCP.  Nothing is shared with the parent
+  but the byte stream.
 
 Both backends run the same :func:`worker_loop`; a worker is defined by
 the messages it exchanges, not by how its process was made:
 
-parent → worker   ``batch`` (list of :class:`CellTask`), ``None``
+parent → worker   ``batch`` (list of
+                  :class:`~repro.core.campaign.CellTask`), ``None``
                   (shutdown), soft-cancel (per-worker stop flag)
 worker → parent   ``("ready", wid)`` · ``("start", wid, index, golden)``
                   · ``("heartbeat", wid, index, ordinal)`` ·
-                  ``("partial", wid, index, key, state)`` ·
-                  ``("cell", wid, index, data)`` ·
+                  ``("partial", wid, index, key, checkpoint)`` ·
+                  ``("cell", wid, index, end_state)`` ·
                   ``("telemetry", wid, index|None, delta, events)`` ·
                   ``("incident", wid, data)`` ·
                   ``("fatal", wid, index, type, detail)`` ·
@@ -45,12 +43,8 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
-import os
 import queue as queue_module
 import signal
-import subprocess
-import sys
-import threading
 import time
 import traceback as traceback_module
 from dataclasses import dataclass
@@ -62,32 +56,14 @@ from repro.obs.metrics import subtract_snapshot
 from repro.core.campaign import (
     CampaignConfig,
     CellCheckpoint,
+    CellTask,
     golden_run,
-    run_cell,
+    run_task,
 )
 from repro.core.chaos import ChaosSpec
-from repro.core.wire import (  # noqa: F401 - re-exported compat names
-    HANDSHAKE_EPOCH,
-    MAX_FRAME_BYTES,
-    read_frame,
-    write_frame,
-)
-from repro.cpu.config import DEFAULT_CONFIG, CoreConfig
+from repro.cpu.config import CoreConfig
 from repro.errors import CampaignInterrupted, InjectionIncident
 from repro.workloads import get_workload
-
-
-@dataclass(frozen=True)
-class CellTask:
-    """One cell's marching orders, parent → worker."""
-
-    index: int  # position in config.cells() — the merge key
-    workload: str
-    component: str
-    cardinality: int
-    cell_key: str
-    partial: dict | None  # serialised CellCheckpoint to resume from
-    attempt: int = 0  # 0 on first dispatch; >0 on retries
 
 
 @dataclass(frozen=True)
@@ -222,39 +198,25 @@ class _SendJournal:
     def __init__(self, send: Callable, worker_id: int) -> None:
         self._send = send
         self._worker_id = worker_id
-        self.incidents: list = []  # Supervisor reads len() nowhere, kept for shape
 
     def append(self, incident) -> None:
         self._send(("incident", self._worker_id, incident.as_dict()))
 
 
 class _SendStore:
-    """Worker-side store proxy: resume data in, checkpoints out.
+    """Worker-side store proxy: streams checkpoints to the parent.
 
-    Duck-types the two methods :func:`~repro.core.campaign.run_cell`
-    uses.  ``get_partial`` serves the checkpoint the parent attached to
-    the task; ``put_partial`` streams new checkpoints to the parent, the
-    single real-store writer.
+    Duck-types the one method :func:`~repro.core.campaign.run_cell` writes
+    through; the parent is the single real-store writer.
     """
 
-    def __init__(self, send: Callable, worker_id: int, task: CellTask) -> None:
+    def __init__(self, send: Callable, worker_id: int, index: int) -> None:
         self._send = send
         self._worker_id = worker_id
-        self._task = task
-
-    def get_partial(self, key: str) -> CellCheckpoint | None:
-        if self._task.partial is None or key != self._task.cell_key:
-            return None
-        try:
-            return CellCheckpoint.from_dict(self._task.partial)
-        except (KeyError, ValueError, TypeError):  # pragma: no cover
-            return None
+        self._index = index
 
     def put_partial(self, key: str, checkpoint: CellCheckpoint) -> None:
-        self._send(
-            ("partial", self._worker_id, self._task.index, key,
-             checkpoint.as_dict())
-        )
+        self._send(("partial", self._worker_id, self._index, key, checkpoint))
 
 
 class _TelemetryShipper:
@@ -385,11 +347,13 @@ def worker_loop(
                     send(("stopped", worker_id))
                     return
                 # Golden cycles are the deadline currency: computed (or
-                # cache-served) before the cell so the parent can bound
-                # its wall clock from the very first heartbeat.
+                # cache-served) for the campaign's machine before the cell,
+                # so the parent can bound its wall clock from the very
+                # first heartbeat.
                 try:
                     golden_cycles = golden_run(
-                        get_workload(task.workload), spec.core_cfg
+                        get_workload(task.workload), spec.core_cfg,
+                        cores=spec.config.cores,
                     ).cycles
                 except Exception as exc:  # noqa: BLE001 - surface, don't hang
                     shipper.ship()
@@ -398,16 +362,15 @@ def worker_loop(
                           f"{exc}\n{traceback_module.format_exc()}"))
                     return
                 send(("start", worker_id, task.index, golden_cycles))
-                probe = _make_probe(task, spec, send, worker_id, stop_flag)
-                store_proxy = _SendStore(send, worker_id, task)
                 try:
-                    cell = run_cell(
-                        task.workload, task.component, task.cardinality,
-                        spec.config, spec.core_cfg,
+                    state = run_task(
+                        task, spec.config, spec.core_cfg,
                         supervisor=supervisor,
-                        store=store_proxy, cell_key=task.cell_key,
-                        checkpoint_every=spec.checkpoint_every, resume=True,
-                        stop=probe,
+                        store=_SendStore(send, worker_id, task.index),
+                        checkpoint_every=spec.checkpoint_every,
+                        stop=_make_probe(
+                            task, spec, send, worker_id, stop_flag
+                        ),
                         verify=spec.verify,
                         prune=spec.prune,
                     )
@@ -432,7 +395,7 @@ def worker_loop(
                 # worker arrive in order, so the parent still holds the
                 # cell as pending when its metric delta arrives.
                 shipper.ship(task.index)
-                send(("cell", worker_id, task.index, cell.as_dict()))
+                send(("cell", worker_id, task.index, state))
         shipper.ship()
         send(("ready", worker_id))
 
@@ -593,196 +556,10 @@ class MultiprocessingBackend(ExecutorBackend):
         self.result_queue.join_thread()
 
 
-# ---------------------------------------------------------------------------
-# Subprocess backend (CRC-framed messages over pipes)
-# ---------------------------------------------------------------------------
-#
-# The framing itself lives in :mod:`repro.core.wire` — the socket backend
-# shares it byte-for-byte, and pipes get the same per-frame CRC32: a torn,
-# oversized or corrupted frame reads as EOF, which the scheduler already
-# treats as a dead worker.  Pipe traffic stays in HANDSHAKE_EPOCH (there is
-# exactly one session per spawned worker, no reconnects to confuse).
-
-
-class _SubprocessHandle(WorkerHandle):
-    def __init__(self, worker_id: int, proc, reader: threading.Thread) -> None:
-        self.worker_id = worker_id
-        self._proc = proc
-        self._reader = reader
-        self._stdin_lock = threading.Lock()
-
-    def _write(self, message) -> None:
-        try:
-            with self._stdin_lock:
-                write_frame(self._proc.stdin, message)
-        except (BrokenPipeError, ValueError, OSError):
-            pass  # worker died; the scheduler's liveness poll handles it
-
-    def send(self, batch) -> None:
-        self._write(("task", batch))
-
-    def soft_cancel(self) -> None:
-        self._write(("stop",))
-
-    def kill(self) -> None:
-        if self._proc.poll() is None:
-            self._proc.kill()
-
-    def alive(self) -> bool:
-        return self._proc.poll() is None
-
-    def exitcode(self) -> int | None:
-        code = self._proc.poll()
-        # Match multiprocessing's convention: death by signal N → -N.
-        return code
-
-    def pid(self) -> int | None:
-        return self._proc.pid
-
-    def join(self, timeout: float) -> None:
-        try:
-            self._proc.wait(timeout=timeout)
-        except subprocess.TimeoutExpired:
-            pass
-
-
-class SubprocessBackend(ExecutorBackend):
-    """Spawned workers speaking length-prefixed frames over pipes.
-
-    Each worker is a fresh ``python -m repro.core.executor`` process; the
-    parent writes ``("task", batch)`` / ``("stop",)`` frames to its
-    stdin and a per-worker reader thread funnels its stdout frames into
-    one inbox queue.  No shared memory, no inherited state, no
-    multiprocessing machinery — only bytes over a pipe, which is the
-    exact contract a socket to another host would satisfy.
-    """
-
-    name = "subprocess"
-
-    def __init__(self, spec: WorkerSpec) -> None:
-        self.spec = spec
-        self.inbox: queue_module.Queue = queue_module.Queue()
-        self._next_id = 0
-        self._procs: list = []
-
-    def spawn(self) -> _SubprocessHandle:
-        worker_id = self._next_id
-        self._next_id += 1
-        env = dict(os.environ)
-        package_root = str(
-            __import__("pathlib").Path(__file__).resolve().parents[2]
-        )
-        env["PYTHONPATH"] = package_root + os.pathsep + env.get(
-            "PYTHONPATH", ""
-        )
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.core.executor"],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=None,
-            env=env,
-        )
-        self._procs.append(proc)
-        write_frame(proc.stdin, ("hello", worker_id, self.spec))
-
-        def pump() -> None:
-            while True:
-                message = read_frame(proc.stdout, HANDSHAKE_EPOCH)
-                if message is None:
-                    return
-                self.inbox.put(message)
-
-        reader = threading.Thread(
-            target=pump, name=f"repro-worker-{worker_id}-reader", daemon=True
-        )
-        reader.start()
-        return _SubprocessHandle(worker_id, proc, reader)
-
-    def recv(self, timeout: float) -> tuple | None:
-        try:
-            return self.inbox.get(timeout=timeout)
-        except queue_module.Empty:
-            return None
-
-    def close(self) -> None:
-        for proc in self._procs:
-            if proc.poll() is None:  # pragma: no cover - scheduler joined them
-                proc.kill()
-            for stream in (proc.stdin, proc.stdout):
-                try:
-                    stream.close()
-                except OSError:  # pragma: no cover
-                    pass
-
-
-def _subprocess_worker_main() -> int:
-    """Entry point of one spawned worker (``python -m repro.core.executor``).
-
-    stdin carries frames in (hello, then task/stop), stdout carries
-    frames out; anything that would have printed to stdout is rerouted
-    to stderr so stray prints cannot corrupt the frame stream.
-    """
-    stdin = sys.stdin.buffer
-    stdout = sys.stdout.buffer
-    sys.stdout = sys.stderr
-    hello = read_frame(stdin, HANDSHAKE_EPOCH)
-    if not (isinstance(hello, tuple) and hello and hello[0] == "hello"):
-        return 2
-    _, worker_id, spec = hello
-    stop_event = threading.Event()
-    tasks: queue_module.Queue = queue_module.Queue()
-
-    def reader() -> None:
-        while True:
-            message = read_frame(stdin, HANDSHAKE_EPOCH)
-            if message is None:  # parent died or closed stdin: wind down
-                stop_event.set()
-                tasks.put(None)
-                return
-            if message[0] == "stop":
-                stop_event.set()
-            elif message[0] == "task":
-                tasks.put(message[1])
-
-    threading.Thread(target=reader, daemon=True).start()
-    write_lock = threading.Lock()
-
-    def send(message: tuple) -> None:
-        try:
-            with write_lock:
-                write_frame(stdout, message)
-        except (BrokenPipeError, ValueError, OSError):
-            # The parent is gone; nothing left to report to.
-            os._exit(0)
-
-    worker_loop(
-        worker_id, spec,
-        recv_batch=lambda timeout: tasks.get(timeout=timeout),
-        send=send,
-        stop_flag=stop_event.is_set,
-    )
-    # Skip interpreter finalization: the reader thread may be blocked in
-    # stdin.buffer and would deadlock buffered-IO teardown.
-    try:
-        stdout.flush()
-    except (ValueError, OSError):
-        pass
-    os._exit(0)
-    return 0  # pragma: no cover - unreachable
-
-
-#: Backend registry — the extension point a multi-host backend registers
-#: into.  Names are what ``--backend`` accepts.
-BACKENDS: dict[str, type[ExecutorBackend]] = {
-    MultiprocessingBackend.name: MultiprocessingBackend,
-    SubprocessBackend.name: SubprocessBackend,
-}
-
-#: Every backend ``--backend`` may name, including the socket backend
-#: whose module (:mod:`repro.core.coordinator`) is imported on demand —
-#: workers spawned as ``python -m repro.core.executor`` should not pay
-#: for the TCP machinery they never use.
-ALL_BACKEND_NAMES: tuple[str, ...] = (
-    MultiprocessingBackend.name, SubprocessBackend.name, "socket",
-)
+#: Every backend ``--backend`` may name.  The socket backend's module
+#: (:mod:`repro.core.coordinator`) is imported on demand, so pool workers
+#: never pay for the TCP machinery they do not use.
+ALL_BACKEND_NAMES: tuple[str, ...] = (MultiprocessingBackend.name, "socket")
 
 
 def create_backend(
@@ -792,19 +569,15 @@ def create_backend(
 
     *options* are backend-specific constructor keywords (the socket
     backend's listen address, accept timeout, autospawn switch...); the
-    in-process backends accept none.
+    multiprocessing backend accepts none.
     """
-    if name == "socket" and name not in BACKENDS:
-        from repro.core import coordinator  # noqa: F401 - registers itself
-    try:
-        backend_cls = BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown executor backend {name!r} "
-            f"(available: {', '.join(sorted(set(BACKENDS) | set(ALL_BACKEND_NAMES)))})"
-        ) from None
-    return backend_cls(spec, **(options or {}))
+    if name == MultiprocessingBackend.name:
+        return MultiprocessingBackend(spec, **(options or {}))
+    if name == "socket":
+        from repro.core.coordinator import SocketBackend
 
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    sys.exit(_subprocess_worker_main())
+        return SocketBackend(spec, **(options or {}))
+    raise ValueError(
+        f"unknown executor backend {name!r} "
+        f"(available: {', '.join(ALL_BACKEND_NAMES)})"
+    )

@@ -12,21 +12,27 @@ Architecture (one parent, N workers behind a pluggable backend):
 
 * **Pluggable execution backends.**  The scheduler speaks to workers only
   through the :class:`~repro.core.executor.ExecutorBackend` seam — the
-  in-process multiprocessing pool and the spawned-subprocess backend
-  (length-prefixed frames over pipes) are interchangeable, and a
-  multi-host backend plugs into the same two methods (``spawn``/``recv``).
+  in-process multiprocessing pool and the multi-host socket coordinator
+  (CRC-checked frames over TCP) are interchangeable behind the same two
+  methods (``spawn``/``recv``).
+* **Tasks, not grids.**  The scheduler runs a list of
+  :class:`~repro.core.campaign.CellTask` objects — whole cells of a campaign
+  (:func:`run_campaign_parallel`) or the batches of an adaptive wave
+  (:func:`run_wave`) — and hands back each task's end state; every task
+  runs through :func:`~repro.core.campaign.run_cell` on a worker.
 * **Sharding with workload affinity.**  Cells are grouped by workload and
   groups are handed to workers whole, so a worker fills a workload's
   :class:`~repro.core.campaign.CheckpointedWorkload` snapshot set once
   instead of once per cell.
 * **Single-writer store.**  Workers never touch the
-  :class:`~repro.core.campaign.CampaignStore`; they stream ``CellResult``s
+  :class:`~repro.core.campaign.CampaignStore`; they stream end states
   and mid-cell checkpoints to the parent, which is the only process
   appending to the store journal and the incident journal.
 * **Heartbeats and derived deadlines.**  Workers heartbeat from the
   per-sample stop probe; a worker with in-flight cells that goes silent
-  past the policy's hang timeout — or blows through a per-cell wall-clock
-  deadline derived from golden-run cycle counts — is escalated:
+  past the policy's hang timeout — or blows through a per-task wall-clock
+  deadline derived from golden-run cycle counts and the samples the task
+  will run — is escalated:
   soft-cancel (stop at the next sample, flush a final checkpoint), then
   kill after a grace period of continued silence, then reschedule from
   the last streamed checkpoint.
@@ -56,12 +62,12 @@ Architecture (one parent, N workers behind a pluggable backend):
   the respawning: the pool shrinks, and when it reaches zero the parent
   finishes the remaining (non-quarantined) cells serially in-process —
   a failing backend degrades a campaign's speed, never its answer.
-* **Incident forwarding, telemetry streaming, ordered progress, graceful
-  Ctrl-C/SIGTERM** — unchanged from the original engine: the parent
-  enforces the global ``--max-incidents``/``--strict`` budget, merges
-  per-cell metric deltas in canonical order, fires the progress callback
-  in canonical order, and on SIGINT/SIGTERM drains final checkpoints so
-  ``--resume`` continues bit-identically.
+* **Incident forwarding, telemetry streaming, graceful Ctrl-C/SIGTERM**
+  — the parent enforces the global ``--max-incidents``/``--strict``
+  budget, merges per-cell metric deltas in canonical order, reports each
+  finished task to its caller (which fires progress in canonical order),
+  and on SIGINT/SIGTERM drains final checkpoints so ``--resume``
+  continues bit-identically.
 
 The deterministic chaos harness (:mod:`repro.core.chaos`,
 ``repro-campaign chaos``) injects worker kills, stalls, dropped and
@@ -71,28 +77,29 @@ and asserts the byte-identical-to-serial guarantee survives all of it.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import time
 from collections import deque
-from pathlib import Path
+from typing import Callable
 
 from repro import obs
 
 from repro.core.campaign import (
     DEFAULT_CHECKPOINT_EVERY,
+    CampaignCells,
     CampaignConfig,
     CampaignResult,
     CampaignStore,
     CellCheckpoint,
-    CellResult,
+    CellTask,
     ProgressFn,
     golden_run,
-    run_cell,
+    run_tasks,
 )
 from repro.core.avf import ClassCounts
 from repro.core.chaos import ChaosEvent, ChaosSpec
 from repro.core.executor import (
-    CellTask,
     ExecutorBackend,
     ResiliencePolicy,
     WorkerHandle,
@@ -101,7 +108,6 @@ from repro.core.executor import (
 )
 from repro.cpu.config import DEFAULT_CONFIG, CoreConfig
 from repro.errors import (
-    CampaignInterrupted,
     IncidentBudgetExceeded,
     InjectionIncident,
     WorkerCrash,
@@ -112,14 +118,6 @@ from repro.workloads import get_workload
 #: escalation / retry tick.  Small enough that a crashed worker is noticed
 #: promptly, large enough not to busy-wait.
 _POLL_INTERVAL = 0.1
-
-#: Kept for backward compatibility: tests and callers imported the task
-#: type under its old private name.
-_CellTask = CellTask
-
-#: Replacement workers spawned after deaths, per original worker slot
-#: (see :class:`~repro.core.executor.ResiliencePolicy.restarts_per_worker`).
-_RESTARTS_PER_WORKER = ResiliencePolicy().restarts_per_worker
 
 
 def _affinity_batches(tasks: list[CellTask], jobs: int) -> list[list[CellTask]]:
@@ -150,38 +148,37 @@ class _DeadlineModel:
     """Wall-clock deadlines derived from golden-run cycle counts.
 
     The scheduler cannot know cycles-per-second a priori, so it
-    calibrates from completed cells: a cell's simulation budget is
-    proportional to ``golden_cycles × samples``, and the observed
-    units-per-second rate turns the budget of an in-flight cell into a
-    predicted wall time.  The deadline is ``deadline_factor`` times that
-    prediction (floored) — generous enough for cache-cold workers, tight
-    enough to catch a livelocked cell that keeps heartbeating.
+    calibrates from completed tasks: a task's simulation budget — its
+    *units* — is proportional to ``golden_cycles × samples it runs``, and
+    the observed units-per-second rate turns the budget of an in-flight
+    task into a predicted wall time.  The deadline is ``deadline_factor``
+    times that prediction (floored) — generous enough for cache-cold
+    workers, tight enough to catch a livelocked cell that keeps
+    heartbeating.
     """
 
-    def __init__(self, policy: ResiliencePolicy, samples: int) -> None:
+    def __init__(self, policy: ResiliencePolicy) -> None:
         self._policy = policy
-        self._samples = max(1, samples)
         self._units = 0.0
         self._wall = 0.0
         self._count = 0
 
-    def record(self, golden_cycles: int | None, wall: float) -> None:
-        if golden_cycles is None or wall <= 0:
+    def record(self, units: float | None, wall: float) -> None:
+        if units is None or wall <= 0:
             return
-        self._units += float(golden_cycles) * self._samples
+        self._units += units
         self._wall += wall
         self._count += 1
 
-    def predict_wall(self, golden_cycles: int) -> float | None:
-        """Predicted wall seconds for a cell, or ``None`` (uncalibrated)."""
+    def predict_wall(self, units: float) -> float | None:
+        """Predicted wall seconds for a task, or ``None`` (uncalibrated)."""
         if self._wall <= 0 or self._units <= 0:
             return None
-        rate = self._units / self._wall
-        return float(golden_cycles) * self._samples / rate
+        return units * self._wall / self._units
 
-    def predict(self, golden_cycles: int) -> float | None:
-        """Allowed wall seconds for a cell, or ``None`` (uncalibrated)."""
-        predicted = self.predict_wall(golden_cycles)
+    def predict(self, units: float) -> float | None:
+        """Allowed wall seconds for a task, or ``None`` (uncalibrated)."""
+        predicted = self.predict_wall(units)
         if predicted is None:
             return None
         return max(
@@ -195,62 +192,47 @@ class _DeadlineModel:
         return self._wall / self._count
 
 
+def _samples_to_run(task: CellTask) -> int:
+    return max(1, task.samples - (task.start.samples_done if task.start else 0))
+
+
 class _Scheduler:
-    """One campaign's resilient parent loop over an executor backend."""
+    """One list of cell tasks' resilient parent loop over an executor
+    backend; :meth:`run` returns every task's end state by index."""
 
     def __init__(
         self,
+        tasks: list[CellTask],
         config: CampaignConfig,
         jobs: int,
-        progress: ProgressFn | None,
         store,
         core_cfg: CoreConfig,
         supervisor,
         checkpoint_every: int | None,
-        resume: bool,
         verify: bool,
         prune: bool,
         backend_name: str,
         policy: ResiliencePolicy,
         chaos: ChaosSpec | None,
         backend_options: dict | None = None,
+        done: Callable[[CellTask, CellCheckpoint], None] | None = None,
     ) -> None:
         self.config = config
         self.jobs = jobs
-        self.progress = progress
         self.store = store
         self.core_cfg = core_cfg
         self.supervisor = supervisor
         self.checkpoint_every = checkpoint_every
-        self.resume = resume
         self.verify = verify
         self.prune = prune
         self.backend_name = backend_name
         self.backend_options = backend_options
         self.policy = policy
         self.chaos = chaos
+        self.done = done
 
-        self.cells = config.cells()
-        self.total = len(self.cells)
-        self.results: dict[int, CellResult] = {}
-        self.keys: dict[int, str] = {}
-        self.tasks: list[CellTask] = []
-        for index, (workload, component, cardinality) in enumerate(self.cells):
-            key = config.cell_key(workload, component, cardinality, core_cfg)
-            self.keys[index] = key
-            cached = store.get(key) if store is not None else None
-            if cached is not None:
-                self.results[index] = cached
-                continue
-            partial = None
-            if store is not None and resume:
-                checkpoint = store.get_partial(key)
-                if checkpoint is not None:
-                    partial = checkpoint.as_dict()
-            self.tasks.append(CellTask(
-                index=index, workload=workload, component=component,
-                cardinality=cardinality, cell_key=key, partial=partial,
-            ))
+        self.tasks: dict[int, CellTask] = {task.index: task for task in tasks}
+        self.results: dict[int, CellCheckpoint] = {}
 
         # Supervisor-derived knobs (duck-typed, like the serial path).
         self.strict = bool(getattr(supervisor, "strict", False))
@@ -276,12 +258,14 @@ class _Scheduler:
         self.degraded = False
         self.global_stop = False
 
-        # Per-cell progress state.
-        self.pending_done = {task.index for task in self.tasks}
-        self.live_partials: dict[int, dict | None] = {
-            task.index: task.partial for task in self.tasks
+        # Per-task progress state.  ``live`` holds each pending task's
+        # freshest acked checkpoint — where a retry resumes.
+        self.pending_done = set(self.tasks)
+        self.live: dict[int, CellCheckpoint | None] = {
+            task.index: task.start for task in tasks
         }
         self.cell_golden: dict[int, int] = {}
+        self.units: dict[int, float] = {}
         self.start_times: dict[int, float] = {}
         self.deadlines: dict[int, float | None] = {}
         self.running: dict[int, int] = {}
@@ -294,10 +278,9 @@ class _Scheduler:
         # from the old owner is dropped by first-canonical-result-wins.
         self.leases: dict[int, float] = {}
         self.lease_durations: dict[int, float] = {}
-        self.model = _DeadlineModel(policy, config.samples)
+        self.model = _DeadlineModel(policy)
 
         # Accounting.
-        self.emitted = 0
         self.total_incidents = 0
         self.lost_sample_incidents = 0
         self.abort_exc: Exception | None = None
@@ -323,8 +306,8 @@ class _Scheduler:
             self.parent_tel.tracer.instant(name, **args)
 
     def _cell_label(self, index: int) -> str:
-        workload, component, cardinality = self.cells[index]
-        return f"{workload}/{component}/{cardinality}-bit"
+        task = self.tasks[index]
+        return f"{task.workload}/{task.component}/{task.cardinality}-bit"
 
     def _record_incident(self, incident) -> None:
         if self.journal is not None:
@@ -342,8 +325,10 @@ class _Scheduler:
     def _fabric_incident(self, kind, index, error_type, message, details):
         from repro.core.supervisor import Incident
 
+        task = self.tasks.get(index)
         workload, component, cardinality = (
-            self.cells[index] if index is not None else ("-", "-", 0)
+            (task.workload, task.component, task.cardinality)
+            if task is not None else ("-", "-", 0)
         )
         return Incident(
             kind=kind,
@@ -363,14 +348,20 @@ class _Scheduler:
             details=details,
         )
 
-    def _emit_progress(self) -> int:
-        while self.emitted in self.results:
-            if self.progress is not None:
-                self.progress(
-                    self.emitted + 1, self.total, self.results[self.emitted]
-                )
-            self.emitted += 1
-        return self.emitted
+    def _retry_task(self, index: int) -> CellTask:
+        """*index*'s task, resuming from its freshest acked checkpoint."""
+        return dataclasses.replace(
+            self.tasks[index], start=self.live.get(index),
+            attempt=self.attempts.get(index, 0),
+        )
+
+    def _finish(self, index: int, state: CellCheckpoint) -> None:
+        """Record a task's end state and report it to the caller."""
+        self.results[index] = state
+        self.pending_done.discard(index)
+        self.live.pop(index, None)
+        if self.done is not None:
+            self.done(self.tasks[index], state)
 
     def _alive_ids(self) -> list[int]:
         return [
@@ -504,15 +495,9 @@ class _Scheduler:
                 self._quarantine(task, cause)
                 continue
             delay = self.policy.backoff(task.cell_key, attempt)
-            refreshed = CellTask(
-                index=index, workload=task.workload,
-                component=task.component, cardinality=task.cardinality,
-                cell_key=task.cell_key,
-                partial=self.live_partials.get(index),
-                attempt=attempt,
-            )
             heapq.heappush(
-                self.retry_heap, (now + delay, self._retry_seq, [refreshed])
+                self.retry_heap,
+                (now + delay, self._retry_seq, [self._retry_task(index)]),
             )
             self._retry_seq += 1
             self._journal_only(self._fabric_incident(
@@ -529,34 +514,26 @@ class _Scheduler:
             )
 
     def _quarantine(self, task: CellTask, cause: str) -> None:
-        """A poison cell: salvage its last checkpoint as a short result,
-        count the missing samples as lost, and move on."""
+        """A poison cell: salvage its last checkpoint as its (short) end
+        state, count the missing samples as lost, and move on."""
         index = task.index
-        counts = ClassCounts()
-        done = 0
-        golden = self.cell_golden.get(index)
-        state = self.live_partials.get(index)
-        if state is not None:
-            try:
-                checkpoint = CellCheckpoint.from_dict(state)
-            except (KeyError, ValueError, TypeError):  # pragma: no cover
-                checkpoint = None
-            if checkpoint is not None:
-                counts = checkpoint.counts
-                done = checkpoint.samples_done
-                golden = checkpoint.golden_cycles
-        if golden is None:
-            # Fault-free golden run in the parent: safe (the poison is in
-            # the cell's *injections*) and cached.
-            golden = golden_run(
-                get_workload(task.workload), self.core_cfg
-            ).cycles
-        self.results[index] = CellResult(
-            workload=task.workload, component=task.component,
-            cardinality=task.cardinality, counts=counts,
-            golden_cycles=golden,
-        )
-        lost = max(0, self.config.samples - done)
+        state = self.live.get(index)
+        if state is None:
+            golden = self.cell_golden.get(index)
+            if golden is None:
+                # Fault-free golden run in the parent: safe (the poison is
+                # in the cell's *injections*) and cached.
+                golden = golden_run(
+                    get_workload(task.workload), self.core_cfg,
+                    cores=self.config.cores,
+                ).cycles
+            # No RNG state to carry: a quarantined cell is never resumed.
+            state = CellCheckpoint(
+                samples_done=0, counts=ClassCounts(), cycle_rng_state=None,
+                generator_rng_state=None, golden_cycles=golden,
+            )
+        done = state.samples_done
+        lost = max(0, task.samples - done)
         self.lost_sample_incidents += lost
         attempts = self.attempts.get(index, 0)
         incident = self._fabric_incident(
@@ -577,11 +554,10 @@ class _Scheduler:
             "poison-cell", cell=self._cell_label(index), attempts=attempts,
             lost=lost,
         )
-        self.pending_done.discard(index)
         self.deadlines.pop(index, None)
         self.running.pop(index, None)
         self._drop_lease(index)
-        self._emit_progress()
+        self._finish(index, state)
         if self.strict:
             self.abort_exc = InjectionIncident(f"[strict] {incident.message}")
             return
@@ -589,7 +565,7 @@ class _Scheduler:
 
     # -- lease-based cell ownership ----------------------------------------
 
-    def _lease_duration(self, golden_cycles: int | None) -> float:
+    def _lease_duration(self, units: float | None) -> float:
         """How long a worker may own a cell without the parent hearing
         from it, calibrated (like deadlines) from golden-run cycles.
 
@@ -600,8 +576,7 @@ class _Scheduler:
         arriving for many predicted cell-lifetimes.
         """
         predicted = (
-            self.model.predict_wall(golden_cycles)
-            if golden_cycles is not None else None
+            self.model.predict_wall(units) if units is not None else None
         )
         if predicted is None:
             return self.policy.lease_floor
@@ -610,7 +585,7 @@ class _Scheduler:
         )
 
     def _grant_lease(self, index: int, now: float) -> None:
-        duration = self._lease_duration(self.cell_golden.get(index))
+        duration = self._lease_duration(self.units.get(index))
         self.lease_durations[index] = duration
         self.leases[index] = now + duration
 
@@ -654,13 +629,7 @@ class _Scheduler:
         self._drop_lease(index)
         self.running.pop(index, None)
         self.deadlines.pop(index, None)
-        task = CellTask(
-            index=index, workload=self.cells[index][0],
-            component=self.cells[index][1],
-            cardinality=self.cells[index][2], cell_key=self.keys[index],
-            partial=self.live_partials.get(index),
-            attempt=self.attempts.get(index, 0),
-        )
+        task = self._retry_task(index)
         if owner is not None:
             # Strip the cell from the owner's assignment so its eventual
             # death (or next "ready") cannot reschedule it a second time.
@@ -735,13 +704,7 @@ class _Scheduler:
             return
         _, index = max(candidates)
         worker_id = min(self.idle)
-        workload, component, cardinality = self.cells[index]
-        task = CellTask(
-            index=index, workload=workload, component=component,
-            cardinality=cardinality, cell_key=self.keys[index],
-            partial=self.live_partials.get(index),
-            attempt=self.attempts.get(index, 0),
-        )
+        task = self._retry_task(index)
         self.speculated.add(index)
         self.idle.discard(worker_id)
         self.assigned[worker_id] = [task]
@@ -871,10 +834,15 @@ class _Scheduler:
         elif kind == "start":
             _, _, index, golden_cycles = message
             self.cell_golden[index] = golden_cycles
+            task = next(
+                (t for t in self.assigned[worker_id] if t.index == index),
+                self.tasks[index],
+            )
+            self.units[index] = float(golden_cycles) * _samples_to_run(task)
             now = time.monotonic()
             self.start_times[index] = now
             self.running[index] = worker_id
-            predicted = self.model.predict(golden_cycles)
+            predicted = self.model.predict(self.units[index])
             self.deadlines[index] = (
                 now + predicted if predicted is not None else None
             )
@@ -883,46 +851,35 @@ class _Scheduler:
             self._counter("exec.heartbeats")
         elif kind == "partial":
             _, _, index, key, state = message
-            self.live_partials[index] = state
-            if self.store is not None and index in self.pending_done:
-                self.store.put_partial(key, CellCheckpoint.from_dict(state))
+            if index in self.pending_done:
+                self.live[index] = state
+                if self.store is not None:
+                    self.store.put_partial(key, state)
         elif kind == "cell":
-            _, _, index, data = message
+            _, _, index, state = message
             if index not in self.pending_done:
                 return  # duplicate from a reschedule or speculation
-            cell = CellResult.from_dict(data)
-            self.results[index] = cell
-            self.pending_done.discard(index)
-            self.live_partials.pop(index, None)
             started = self.start_times.pop(index, None)
             if started is not None:
                 self.model.record(
-                    self.cell_golden.get(index),
-                    time.monotonic() - started,
+                    self.units.get(index), time.monotonic() - started
                 )
             self.deadlines.pop(index, None)
             self.running.pop(index, None)
             self._drop_lease(index)
             if self.store is not None:
-                self.store.put(self.keys[index], cell)
-            done = self._emit_progress()
-            if self.parent_tel is not None:
-                # Completed cells buffered waiting for an earlier cell —
-                # how far ahead of canonical order the schedule ran.
+                task = self.tasks[index]
+                self.store.put(task.cell_key, task.result(state))
+            self._finish(index, state)
+            if self.parent_tel is not None and self.pending_done:
+                # Finished cells waiting on an earlier one — how far ahead
+                # of canonical order the schedule ran.
+                first = min(self.pending_done)
                 self.parent_tel.metrics.gauge(
                     "exec.scheduler.reorder_depth"
-                ).set_max(float(len(self.results) - done))
+                ).set_max(float(sum(1 for i in self.results if i > first)))
         elif kind == "telemetry":
-            _, _, index, delta, events = message
-            if self.parent_tel is not None:
-                if index is None:
-                    self.worker_deltas.append(delta)
-                elif index in self.pending_done:
-                    # Keep the first completion's telemetry, like the
-                    # first "cell" message; a raced duplicate is dropped
-                    # with its cell.
-                    self.cell_deltas[index] = delta
-                self.parent_tel.tracer.adopt(events, tid=worker_id + 1)
+            self._absorb_telemetry(message)
         elif kind == "incident":
             _, _, data = message
             from repro.core.supervisor import Incident
@@ -969,7 +926,8 @@ class _Scheduler:
 
         Cells that already exhausted their attempt budget are quarantined
         first — a cell that killed every worker it touched must not take
-        the parent down with it.
+        the parent down with it.  The rest resume from their freshest
+        acked checkpoint.
         """
         self._mark_degraded("no live workers remain")
         remaining = sorted(self.pending_done)
@@ -978,41 +936,22 @@ class _Scheduler:
         for index in remaining:
             if self.abort_exc is not None:
                 return
-            workload, component, cardinality = self.cells[index]
-            task = CellTask(
-                index=index, workload=workload, component=component,
-                cardinality=cardinality, cell_key=self.keys[index],
-                partial=self.live_partials.get(index),
-                attempt=self.attempts.get(index, 0),
-            )
-            if self.attempts.get(index, 0) >= self.policy.max_attempts:
+            task = self._retry_task(index)
+            if task.attempt >= self.policy.max_attempts:
                 self._quarantine(task, "degraded")
                 continue
             before = (
                 self.supervisor.incident_count
                 if self.supervisor is not None else 0
             )
-            # The store still holds the freshest streamed checkpoint, so
-            # resume=True continues exactly where the dead worker left
-            # off; live_partials may be newer only if a store-less run.
-            if (
-                self.store is None
-                and task.partial is not None
-            ):
-                store_arg = _MemoryPartial(task.cell_key, task.partial)
-            else:
-                store_arg = self.store
             try:
-                cell = run_cell(
-                    workload, component, cardinality,
-                    self.config, self.core_cfg,
+                run_tasks(
+                    [task], self.config, self.core_cfg, store=self.store,
+                    done=lambda task, state: self._finish(task.index, state),
                     supervisor=self.supervisor,
-                    store=store_arg, cell_key=self.keys[index],
-                    checkpoint_every=self.checkpoint_every, resume=True,
+                    checkpoint_every=self.checkpoint_every,
                     verify=self.verify, prune=self.prune,
                 )
-            except CampaignInterrupted:  # pragma: no cover - no stop hook
-                return
             except InjectionIncident as exc:
                 self.abort_exc = exc
                 return
@@ -1020,12 +959,6 @@ class _Scheduler:
                 contained = self.supervisor.incident_count - before
                 self.total_incidents += contained
                 self.lost_sample_incidents += contained
-            self.results[index] = cell
-            self.pending_done.discard(index)
-            self.live_partials.pop(index, None)
-            if self.store is not None:
-                self.store.put(self.keys[index], cell)
-            self._emit_progress()
 
     # -- shutdown paths ----------------------------------------------------
 
@@ -1042,59 +975,34 @@ class _Scheduler:
             message = self.backend.recv(_POLL_INTERVAL)
             if message is None:
                 continue
-            kind = message[0]
-            if kind == "partial":
-                _, _, index, key, state = message
-                self.live_partials[index] = state
-                if self.store is not None and index in self.pending_done:
-                    self.store.put_partial(
-                        key, CellCheckpoint.from_dict(state)
-                    )
-            elif kind == "cell":
-                _, _, index, data = message
-                if self.store is not None and index in self.pending_done:
-                    self.store.put(
-                        self.keys[index], CellResult.from_dict(data)
-                    )
-                self.pending_done.discard(index)
-            elif kind == "telemetry":
-                _, worker_id, index, delta, events = message
-                if self.parent_tel is not None:
-                    if index is None:
-                        self.worker_deltas.append(delta)
-                    elif index in self.pending_done:
-                        self.cell_deltas[index] = delta
-                    self.parent_tel.tracer.adopt(events, tid=worker_id + 1)
-            elif kind == "ready":
-                worker_id = message[1]
-                if worker_id not in self.retired:
-                    self.handles[worker_id].send(None)
-            elif kind in ("stopped", "bye"):
-                self._retire(message[1])
+            if message[0] == "ready":
+                # Shut finished workers down instead of dispatching.
+                if message[1] not in self.retired:
+                    self.handles[message[1]].send(None)
+            elif message[0] in ("partial", "cell", "telemetry", "stopped",
+                                "bye"):
+                self._handle(message)
 
-    def _collect_leftover_telemetry(self) -> None:
-        """Absorb telemetry still queued after every worker has exited.
+    def _absorb_telemetry(self, message: tuple) -> None:
+        """Keep a worker's metric delta and adopt its trace events.
 
-        Deltas for cells that were already merged (raced duplicates from
-        reschedules or speculation) are counted as ``exec.lost_deltas``
-        rather than silently dropped — the serial/parallel ``sim.*``
-        equality contract only holds for incident-free runs, and the
-        counter is how an operator sees why.
+        A cell keeps the delta of the completion that is merged, like its
+        first "cell" message.  Deltas for cells that were already merged
+        (raced duplicates from reschedules or speculation) are counted as
+        ``exec.lost_deltas`` rather than silently dropped — the
+        serial/parallel ``sim.*`` equality contract only holds for
+        incident-free runs, and the counter is how an operator sees why.
         """
-        while True:
-            message = self.backend.recv(0.2)
-            if message is None:
-                return
-            if message[0] != "telemetry":
-                continue
-            _, worker_id, index, delta, events = message
-            if index is None:
-                self.worker_deltas.append(delta)
-            elif index in self.pending_done:
-                self.cell_deltas[index] = delta
-            else:
-                self._counter("exec.lost_deltas")
-            self.parent_tel.tracer.adopt(events, tid=worker_id + 1)
+        if self.parent_tel is None:
+            return
+        _, worker_id, index, delta, events = message
+        if index is None:
+            self.worker_deltas.append(delta)
+        elif index in self.pending_done:
+            self.cell_deltas[index] = delta
+        else:
+            self._counter("exec.lost_deltas")
+        self.parent_tel.tracer.adopt(events, tid=worker_id + 1)
 
     def _shutdown(self) -> None:
         for worker_id, handle in self.handles.items():
@@ -1109,7 +1017,10 @@ class _Scheduler:
                 handle.kill()
                 handle.join(timeout=1.0)
         if self.parent_tel is not None:
-            self._collect_leftover_telemetry()
+            # Telemetry still queued after every worker has exited.
+            while (message := self.backend.recv(0.2)) is not None:
+                if message[0] == "telemetry":
+                    self._absorb_telemetry(message)
             # Canonical-order merge: same input order every run, and the
             # merge operators themselves are order-independent — either
             # property alone makes merged counters deterministic.
@@ -1121,15 +1032,11 @@ class _Scheduler:
 
     # -- the main loop -----------------------------------------------------
 
-    def run(self) -> CampaignResult:
-        self._emit_progress()
+    def run(self) -> dict[int, CellCheckpoint]:
         if not self.tasks:
-            return CampaignResult(
-                [self.results[i] for i in range(self.total)],
-                incidents=self.lost_sample_incidents,
-            )
+            return self.results
         jobs = max(1, min(self.jobs, len(self.tasks)))
-        batches = _affinity_batches(self.tasks, jobs)
+        batches = _affinity_batches(list(self.tasks.values()), jobs)
         self.batches = deque(batches)
         self.max_restarts = jobs * self.policy.restarts_per_worker
         spec = WorkerSpec(
@@ -1149,9 +1056,6 @@ class _Scheduler:
             self.parent_tel.metrics.gauge("exec.scheduler.batches").set_max(
                 len(batches)
             )
-            self.parent_tel.metrics.counter(
-                "exec.scheduler.cells_cached"
-            ).inc(len(self.results))
         for _ in range(min(jobs, len(batches))):
             self._spawn()
         try:
@@ -1196,31 +1100,7 @@ class _Scheduler:
             if self.store is not None:
                 self.store.compact()
             raise self.abort_exc
-        return CampaignResult(
-            [self.results[i] for i in range(self.total)],
-            incidents=self.lost_sample_incidents,
-        )
-
-
-class _MemoryPartial:
-    """Minimal store stand-in for store-less serial fallback: serves the
-    freshest streamed checkpoint so the fallback resumes instead of
-    redoing the dead worker's samples."""
-
-    def __init__(self, key: str, state: dict) -> None:
-        self._key = key
-        self._state = state
-
-    def get_partial(self, key: str) -> CellCheckpoint | None:
-        if key != self._key:
-            return None
-        try:
-            return CellCheckpoint.from_dict(self._state)
-        except (KeyError, ValueError, TypeError):  # pragma: no cover
-            return None
-
-    def put_partial(self, key: str, checkpoint: CellCheckpoint) -> None:
-        self._state = checkpoint.as_dict()
+        return self.results
 
 
 def run_campaign_parallel(
@@ -1249,9 +1129,9 @@ def run_campaign_parallel(
     contract (*supervisor*'s journal receives every incident and its
     ``incident_count`` grows), same result — byte-identical JSON.
 
-    *backend* selects the executor backend (see
-    :data:`repro.core.executor.BACKENDS`) and *backend_options* are
-    passed to its constructor (e.g. ``{"host": ..., "port": ...,
+    *backend* names the executor backend (see
+    :data:`repro.core.executor.ALL_BACKEND_NAMES`) and *backend_options*
+    are passed to its constructor (e.g. ``{"host": ..., "port": ...,
     "autospawn": False}`` for a listening socket coordinator); *policy*
     tunes the resilience protocol; *chaos* injects deterministic faults
     into the fabric (see
@@ -1267,10 +1147,61 @@ def run_campaign_parallel(
             exit_code=_crash_spec.get("exit_code", 64),
             flag=_crash_spec["flag"],
         ),))
+    cells = CampaignCells(config, store, core_cfg, resume, progress)
+    tel = obs.active()
+    if tel is not None and cells.tasks:
+        tel.metrics.counter("exec.scheduler.cells_cached").inc(
+            len(cells.results)
+        )
     scheduler = _Scheduler(
-        config, jobs, progress, store, core_cfg, supervisor,
-        checkpoint_every, resume, verify, prune, backend,
+        cells.tasks, config, jobs, store, core_cfg, supervisor,
+        checkpoint_every, verify, prune, backend,
         policy if policy is not None else ResiliencePolicy(), chaos,
+        backend_options, done=cells.done,
+    )
+    scheduler.run()
+    return cells.result(scheduler.lost_sample_incidents)
+
+
+def run_wave(
+    tasks: list[CellTask],
+    config: CampaignConfig,
+    core_cfg: CoreConfig = DEFAULT_CONFIG,
+    *,
+    jobs: int = 1,
+    supervisor=None,
+    verify: bool = False,
+    prune: bool = False,
+    backend: str = "multiprocessing",
+    backend_options: dict | None = None,
+    policy: ResiliencePolicy | None = None,
+) -> tuple[dict[int, CellCheckpoint], int]:
+    """Run one wave of storeless *tasks*: serially in-process at
+    ``jobs=1``, else on the scheduler.
+
+    Returns every task's end state by index and the samples the wave lost
+    to contained incidents.  The end states do not depend on *jobs* or
+    *backend*: every task runs through
+    :func:`~repro.core.campaign.run_cell` either way.
+    """
+    if jobs <= 1:
+        states: dict[int, CellCheckpoint] = {}
+
+        def done(task: CellTask, state: CellCheckpoint) -> None:
+            states[task.index] = state
+
+        before = supervisor.incident_count if supervisor is not None else 0
+        run_tasks(
+            tasks, config, core_cfg, done=done,
+            supervisor=supervisor, checkpoint_every=None,
+            verify=verify, prune=prune,
+        )
+        after = supervisor.incident_count if supervisor is not None else 0
+        return states, after - before
+    scheduler = _Scheduler(
+        tasks, config, jobs, None, core_cfg, supervisor, None, verify,
+        prune, backend,
+        policy if policy is not None else ResiliencePolicy(), None,
         backend_options,
     )
-    return scheduler.run()
+    return scheduler.run(), scheduler.lost_sample_incidents

@@ -32,12 +32,8 @@ import traceback as traceback_module
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.campaign import (
-    CheckpointedWorkload,
-    golden_run,
-    run_one_injection,
-)
-from repro.core.classify import TIMEOUT_FACTOR, FaultClass
+from repro.core.campaign import InjectionPlan, run_one_injection
+from repro.core.classify import FaultClass
 from repro.core.faults import FaultMask
 from repro.errors import (
     IncidentBudgetExceeded,
@@ -45,14 +41,7 @@ from repro.errors import (
     SimAssertion,
 )
 from repro import obs
-from repro.cpu.config import DEFAULT_CONFIG, CoreConfig
 from repro.workloads.base import Workload
-
-#: Extra steps granted beyond the cycle budget before the watchdog trips.
-#: Every legal pipeline step advances the cycle counter by at least one, so
-#: steps can never legitimately exceed cycles; the slack absorbs the
-#: bookkeeping steps around termination.
-WATCHDOG_SLACK_STEPS = 10_000
 
 #: Every incident kind any layer journals — the supervisor's contained
 #: injection failures plus the executor fabric's (see
@@ -207,8 +196,10 @@ class Supervisor:
 
     ``max_incidents=None`` means unlimited containment; ``strict=True``
     re-raises the first incident as :class:`InjectionIncident` (after
-    journalling it).  ``incident_count`` counts this run only — a resumed
-    campaign's journal may hold more from earlier runs.
+    journalling it).  ``watchdog=True`` asks the cells it supervises to
+    plan a step budget for every faulty run.  ``incident_count`` counts
+    this run only — a resumed campaign's journal may hold more from
+    earlier runs.
     """
 
     journal: IncidentJournal = field(default_factory=IncidentJournal)
@@ -224,38 +215,28 @@ class Supervisor:
         generator,
         cardinality: int,
         inject_cycle: int,
-        core_cfg: CoreConfig = DEFAULT_CONFIG,
-        checkpoints: CheckpointedWorkload | None = None,
+        plan: InjectionPlan | None = None,
         *,
         cell_seed: str = "",
         sample_index: int = 0,
-        verify: bool = False,
-        liveness=None,
-        cores: int = 1,
     ) -> FaultClass | None:
         """One injection inside the containment boundary.
 
         Returns the fault class, or ``None`` when the sample was lost to a
-        contained incident.  A failed *verify* cross-check (a
-        :class:`~repro.errors.VerificationError`) is contained like any
-        other platform bug — journalled with a full repro bundle, and
-        escalated in ``--strict`` mode.  *liveness* is forwarded to
-        :func:`~repro.core.campaign.run_one_injection` for mask pruning;
-        a pruner audit failure is a verification incident like any other.
-        *cores* selects the SMP machine; the watchdog budget derives from
-        that machine's own golden run, so a slower multi-core schedule
-        never trips the step budget spuriously.
+        contained incident.  *plan* is forwarded to
+        :func:`~repro.core.campaign.run_one_injection`; its step budget
+        arms the watchdog (derived from the cell's own golden run, so a
+        slower multi-core schedule never trips it spuriously).  A failed
+        verify cross-check (a :class:`~repro.errors.VerificationError`,
+        including a pruner audit failure) is contained like any other
+        platform bug — journalled with a full repro bundle, and escalated
+        in ``--strict`` mode.
         """
         trace: dict = {}
-        max_steps = None
-        if self.watchdog:
-            golden = golden_run(workload, core_cfg, cores=cores)
-            max_steps = TIMEOUT_FACTOR * golden.cycles + WATCHDOG_SLACK_STEPS
         try:
             fault_class, _, _ = run_one_injection(
                 workload, component, generator, cardinality, inject_cycle,
-                core_cfg, checkpoints=checkpoints, max_steps=max_steps,
-                trace=trace, verify=verify, liveness=liveness, cores=cores,
+                plan, trace,
             )
             return fault_class
         except SimAssertion:

@@ -1,9 +1,8 @@
 """Shared frame codec for the executor fabric's byte-stream transports.
 
-Both the subprocess backend (frames over pipes) and the socket backend
-(frames over TCP, see :mod:`repro.core.coordinator`) speak the same wire
-format, defined here once so a frame written by either side of either
-transport is readable by the other:
+The socket backend's coordinator and its workers (frames over TCP, see
+:mod:`repro.core.coordinator`) speak this wire format, defined here once
+so a frame written by either side is readable by the other:
 
     +--------+--------+--------+------------------+
     | length | crc32  | epoch  | pickled payload  |

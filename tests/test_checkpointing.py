@@ -15,6 +15,7 @@ import pytest
 import repro
 from repro.core.campaign import (
     CheckpointedWorkload,
+    InjectionPlan,
     build_system,
     golden_run,
     run_one_injection,
@@ -240,7 +241,7 @@ def test_checkpointed_injection_matches_direct():
         fast = run_one_injection(
             workload, component,
             MultiBitFaultGenerator(seed=trial), 3, cycle,
-            checkpoints=checkpoints,
+            InjectionPlan.build(workload, checkpoints=checkpoints),
         )
         assert direct[0] is fast[0]               # same fault class
         assert direct[2] == fast[2]               # same mask
@@ -258,12 +259,13 @@ def test_checkpointed_smp_injection_matches_direct():
         cycle = rng.randrange(golden.cycles)
         direct = run_one_injection(
             workload, component,
-            MultiBitFaultGenerator(seed=trial), 1, cycle, cores=2,
+            MultiBitFaultGenerator(seed=trial), 1, cycle,
+            InjectionPlan.build(workload, cores=2),
         )
         fast = run_one_injection(
             workload, component,
             MultiBitFaultGenerator(seed=trial), 1, cycle,
-            checkpoints=checkpoints, cores=2,
+            InjectionPlan.build(workload, cores=2, checkpoints=checkpoints),
         )
         assert direct[0] is fast[0]
         assert direct[2] == fast[2]

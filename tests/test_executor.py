@@ -18,15 +18,13 @@ import pytest
 from repro.core.campaign import CampaignConfig, run_campaign
 from repro.core.executor import (
     ALL_BACKEND_NAMES,
-    MAX_FRAME_BYTES,
     ResiliencePolicy,
     WorkerSpec,
     create_backend,
-    read_frame,
-    write_frame,
 )
 from repro.core.parallel import run_campaign_parallel
 from repro.core.supervisor import IncidentJournal, Supervisor
+from repro.core.wire import MAX_FRAME_BYTES, read_frame, write_frame
 from repro.errors import ConfigError
 
 GRID = CampaignConfig(
@@ -44,8 +42,8 @@ def serial_reference():
 
 
 # ---------------------------------------------------------------------------
-# Conformance: every backend (multiprocessing, subprocess, socket)
-# produces the serial bytes
+# Conformance: every backend (multiprocessing, socket) produces the
+# serial bytes
 # ---------------------------------------------------------------------------
 
 

@@ -15,6 +15,7 @@ import pytest
 from repro.core import campaign
 from repro.core.campaign import (
     CampaignConfig,
+    InjectionPlan,
     golden_run,
     run_cell,
     run_one_injection,
@@ -159,12 +160,12 @@ def _verdict_stream(workload, component, samples, liveness):
         cluster=ClusterShape(), mode=CLUSTERED, seed="fuzz-diff"
     )
     cycle_rng = random.Random("fuzz-diff-cycles")
+    plan = InjectionPlan(golden, liveness=liveness)
     stream = []
     for _ in range(samples):
         inject_cycle = cycle_rng.randrange(golden.cycles)
         fault_class, _, mask = run_one_injection(
-            workload, component, generator, 2, inject_cycle,
-            liveness=liveness,
+            workload, component, generator, 2, inject_cycle, plan,
         )
         stream.append((fault_class, mask.bits, inject_cycle))
     return stream
@@ -237,8 +238,7 @@ def test_audit_rejects_unsound_prune_verdict():
     assert fault_class is not FaultClass.MASKED
     with pytest.raises(VerificationError):
         campaign._audit_pruned_sample(
-            workload, "l1i", mask, inject_cycle, golden,
-            DEFAULT_CONFIG, None, None,
+            workload, "l1i", mask, inject_cycle, InjectionPlan(golden),
         )
 
 
@@ -256,8 +256,7 @@ def test_audit_accepts_sound_prune_verdict():
         mask = generator.generate(liveness.target_geometry("l2"), 1)
         if liveness.classify(mask, inject_cycle):
             campaign._audit_pruned_sample(
-                workload, "l2", mask, inject_cycle, golden,
-                DEFAULT_CONFIG, None, None,
+                workload, "l2", mask, inject_cycle, InjectionPlan(golden),
             )
             return
     pytest.fail("no prunable l2 fault in 24 draws")

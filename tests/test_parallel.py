@@ -22,10 +22,11 @@ import pytest
 from repro.core.campaign import (
     CampaignConfig,
     CampaignStore,
+    CellTask,
     run_campaign,
     run_cell,
 )
-from repro.core.parallel import _affinity_batches, _CellTask, run_campaign_parallel
+from repro.core.parallel import _affinity_batches, run_campaign_parallel
 from repro.core.supervisor import IncidentJournal, Supervisor
 from repro.errors import (
     CampaignInterrupted,
@@ -159,7 +160,7 @@ def test_parallel_run_on_warm_store_is_pure_cache_hit(
 
 def test_affinity_batches_group_by_workload_and_split_when_needed():
     tasks = [
-        _CellTask(i, w, c, k, f"key{i}", None)
+        CellTask(i, w, c, k, 1, f"key{i}")
         for i, (w, c, k) in enumerate(
             (w, c, k)
             for w in ("a", "b")
@@ -200,7 +201,7 @@ def test_run_cell_stop_hook_flushes_checkpoint_and_resumes(tmp_path):
     assert checkpoint is not None and checkpoint.samples_done == 2
     resumed = run_cell(
         "stringsearch", "regfile", 1, config,
-        store=store, cell_key=key, checkpoint_every=None,
+        store=store, cell_key=key, checkpoint_every=None, start=checkpoint,
     )
     assert resumed.counts == reference.counts
 

@@ -21,6 +21,7 @@ import pytest
 from repro.core.campaign import (
     CampaignConfig,
     CheckpointedWorkload,
+    InjectionPlan,
     golden_run,
     run_campaign,
     run_cell,
@@ -259,22 +260,63 @@ def test_smp_cells_reject_pruning_but_accept_checkpoints():
         run_cell("crc32_p", "l2", 1, config, prune=True)
     workload = get_workload("crc32_p")
     with pytest.raises(ConfigError, match="single-core"):
-        run_one_injection(
-            workload, "l2", MultiBitFaultGenerator(seed="smp-test"), 1, 10,
-            liveness=object(), cores=2,
-        )
+        InjectionPlan.build(workload, cores=2, prune=True)
     # Golden-prefix checkpoints work at any core count (their exactness
     # is tested in test_checkpointing.py), but only for their own machine.
     checkpoints = CheckpointedWorkload(workload, cores=2)
     cycle = golden_run(workload, cores=2).cycles // 2
     verdict, _, _ = run_one_injection(
         workload, "l2", MultiBitFaultGenerator(seed="smp-test"), 1, cycle,
-        checkpoints=checkpoints, cores=2,
+        InjectionPlan.build(workload, cores=2, checkpoints=checkpoints),
     )
     assert verdict is not None
     assert checkpoints.captured
     with pytest.raises(ConfigError, match="2-core machine"):
-        run_one_injection(
-            workload, "l2", MultiBitFaultGenerator(seed="smp-test"), 1, 10,
-            checkpoints=checkpoints, cores=4,
-        )
+        InjectionPlan.build(workload, cores=4, checkpoints=checkpoints)
+
+
+def test_worker_start_message_carries_the_smp_golden_cycles():
+    # The scheduler's deadlines and leases are calibrated on the cycles a
+    # worker announces; on an N-core campaign those are the N-core golden
+    # run's, not the single-core one's.
+    import queue
+    import threading
+
+    from repro.core.campaign import CellTask
+    from repro.core.executor import WorkerSpec, worker_loop
+
+    config = CampaignConfig(
+        workloads=("crc32_p",), components=("l2",), cardinalities=(1,),
+        samples=1, cores=2,
+    )
+    spec = WorkerSpec(
+        config=config, core_cfg=DEFAULT_CONFIG, supervised=False,
+        strict=False, watchdog=False, checkpoint_every=None,
+        telemetry_enabled=False, verify=False,
+    )
+    inbox = queue.Queue()
+    inbox.put([CellTask(0, "crc32_p", "l2", 1, 1, "key")])
+    inbox.put(None)
+    sent = []
+    worker = threading.Thread(target=worker_loop, args=(
+        0, spec, lambda timeout: inbox.get(timeout=timeout), sent.append,
+        lambda: False,
+    ))
+    worker.start()
+    worker.join(timeout=300)
+    starts = [message for message in sent if message[0] == "start"]
+    workload = get_workload("crc32_p")
+    smp_cycles = golden_run(workload, cores=2).cycles
+    assert starts == [("start", 0, 0, smp_cycles)]
+    assert smp_cycles != golden_run(workload).cycles
+
+
+@pytest.mark.parametrize("backend", ["multiprocessing", "socket"])
+def test_two_core_parallel_campaign_matches_serial(backend):
+    config = CampaignConfig(
+        workloads=("crc32_p",), components=("l2", "regfile"),
+        cardinalities=(1,), samples=2, seed=4, cores=2,
+    )
+    serial = run_campaign(config)
+    parallel = run_campaign(config, jobs=2, backend=backend)
+    assert parallel.to_json() == serial.to_json()

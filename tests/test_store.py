@@ -230,6 +230,7 @@ def test_kill_mid_cell_then_resume_is_bit_identical(tmp_path, monkeypatch):
     resumed = run_cell(
         WORKLOAD, "regfile", 1, config,
         store=resumed_store, cell_key=key, checkpoint_every=3,
+        start=resumed_store.get_partial(key),
     )
     assert calls["count"] == 4  # resumed from sample 6, not from zero
     assert resumed.counts == uninterrupted.counts
@@ -252,10 +253,11 @@ def test_resume_false_restarts_the_cell(tmp_path, monkeypatch):
             store=store, cell_key=key, checkpoint_every=2,
         )
     monkeypatch.undo()
+    # No start checkpoint: the cell opens at sample 0 despite the
+    # partial the interrupted run left in the store.
     fresh = run_cell(
         WORKLOAD, "regfile", 1, config,
         store=CampaignStore(path), cell_key=key, checkpoint_every=2,
-        resume=False,
     )
     assert fresh.counts == uninterrupted.counts
 
