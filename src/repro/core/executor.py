@@ -9,9 +9,10 @@ multicore PC or an SGE grid.
 
 Two backends ship today:
 
-* :class:`MultiprocessingBackend` — the in-process ``multiprocessing``
-  pool (fork when available, spawn otherwise), talking over context
-  queues.  Cheapest start-up, shares the parent's warm caches over fork.
+* :class:`MultiprocessingBackend` — a ``multiprocessing`` pool (fork
+  when available, spawn otherwise) with a task queue and a result pipe
+  per worker.  Cheapest start-up, shares the parent's warm caches over
+  fork.
 * the socket backend (:mod:`repro.core.coordinator`) — workers in fresh
   interpreters, local or on other hosts, speaking CRC-checked frames
   (:mod:`repro.core.wire`) over TCP.  Nothing is shared with the parent
@@ -45,6 +46,7 @@ import hashlib
 import multiprocessing
 import queue as queue_module
 import signal
+import threading
 import time
 import traceback as traceback_module
 from dataclasses import dataclass
@@ -471,12 +473,12 @@ def _context() -> multiprocessing.context.BaseContext:
 
 
 def _mp_worker_main(
-    worker_id: int, spec: WorkerSpec, task_queue, result_queue, stop_event
+    worker_id: int, spec: WorkerSpec, task_queue, results, stop_event
 ) -> None:
     worker_loop(
         worker_id, spec,
         recv_batch=lambda timeout: task_queue.get(timeout=timeout),
-        send=result_queue.put,
+        send=results.send,
         stop_flag=stop_event.is_set,
     )
 
@@ -515,12 +517,16 @@ class _MpHandle(WorkerHandle):
 
 
 class MultiprocessingBackend(ExecutorBackend):
-    """The original in-process pool, behind the backend seam.
+    """Forked (or spawned) workers, each with its own channels.
 
-    One shared result queue, one task queue and one stop event per
-    worker — the per-worker stop event is what makes targeted
-    soft-cancel (hang escalation, straggler cancellation) possible where
-    the old single shared event could only stop the world.
+    A worker gets a task queue, a stop event — what makes targeted
+    soft-cancel (hang escalation, straggler cancellation) possible — and
+    a result pipe it writes from its main thread; a parent-side reader
+    thread per pipe feeds one inbox.  Nothing on the result path is
+    shared between workers: a worker killed mid-send tears only its own
+    stream, which then reads as EOF.  (A shared multiprocessing queue
+    serialises its writers with a cross-process lock, and a worker that
+    dies holding it silences every other worker for good.)
     """
 
     name = "multiprocessing"
@@ -528,7 +534,7 @@ class MultiprocessingBackend(ExecutorBackend):
     def __init__(self, spec: WorkerSpec) -> None:
         self.spec = spec
         self.ctx = _context()
-        self.result_queue = self.ctx.Queue()
+        self.inbox: queue_module.Queue = queue_module.Queue()
         self._next_id = 0
 
     def spawn(self) -> _MpHandle:
@@ -536,24 +542,38 @@ class MultiprocessingBackend(ExecutorBackend):
         self._next_id += 1
         task_queue = self.ctx.Queue()
         stop_event = self.ctx.Event()
+        reader, writer = self.ctx.Pipe(duplex=False)
         proc = self.ctx.Process(
             target=_mp_worker_main,
-            args=(worker_id, self.spec, task_queue, self.result_queue,
-                  stop_event),
+            args=(worker_id, self.spec, task_queue, writer, stop_event),
             daemon=True,
         )
         proc.start()
+        # The worker now holds the only write end, so its exit is EOF.
+        writer.close()
+        threading.Thread(
+            target=self._pump, args=(reader,),
+            name=f"repro-worker-{worker_id}-reader", daemon=True,
+        ).start()
         return _MpHandle(worker_id, proc, task_queue, stop_event)
+
+    def _pump(self, reader) -> None:
+        with reader:
+            while True:
+                try:
+                    message = reader.recv()
+                except (EOFError, OSError):
+                    return
+                self.inbox.put(message)
 
     def recv(self, timeout: float) -> tuple | None:
         try:
-            return self.result_queue.get(timeout=timeout)
+            return self.inbox.get(timeout=timeout)
         except queue_module.Empty:
             return None
 
     def close(self) -> None:
-        self.result_queue.close()
-        self.result_queue.join_thread()
+        """Nothing to release: each reader ends with its worker."""
 
 
 #: Every backend ``--backend`` may name.  The socket backend's module
