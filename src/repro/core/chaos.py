@@ -1,7 +1,7 @@
 """Deterministic chaos harness for the parallel executor fabric.
 
-The resilience protocol of :mod:`repro.core.parallel` (heartbeats, hang
-escalation, retry with backoff, poison-cell quarantine, degradation to a
+The resilience protocol of :mod:`repro.core.parallel` (progress-based
+stall detection, retry with backoff, poison-cell quarantine, degradation to a
 shrinking pool) is only trustworthy if it is *exercised* — a recovery
 path that never runs is a recovery path that does not work.  This module
 injects seeded faults into the fabric itself and asserts that the
@@ -14,9 +14,9 @@ Fault classes (one scenario each, composable):
 * ``kill``  — a worker dies unannounced (``os._exit``) mid-cell, like a
   segfault or OOM kill; the cell must be rescheduled from its last
   streamed checkpoint.
-* ``stall`` — a worker stops making progress mid-cell (sleeps through
-  its heartbeat); the scheduler must soft-cancel, then kill, then
-  reschedule.
+* ``stall`` — a worker stops making progress mid-cell (sleeps, so its
+  reported CPU time stays flat); the scheduler must kill it and
+  reschedule its cells.
 * ``drop``  — queue messages (checkpoints, telemetry, even completed
   cell results) vanish in flight; lost results must be detected and
   re-executed.
@@ -107,10 +107,11 @@ class ChaosEvent:
 
     ``kind`` is ``"kill"`` (hard ``os._exit``, no cleanup, no goodbye —
     exactly what a segfault looks like from the parent), ``"stall"``
-    (sleep through the heartbeat interval, exactly what a livelock looks
-    like), ``"disconnect"`` (sever the socket transport mid-cell) or
-    ``"corrupt"`` (emit a frame whose CRC lies) — the last two act
-    through the registered transport hook and are inert without one.
+    (sleep for *duration* with no CPU progress, exactly what a wedged or
+    partitioned worker looks like), ``"disconnect"`` (sever the socket
+    transport mid-cell) or ``"corrupt"`` (emit a frame whose CRC lies) —
+    the last two act through the registered transport hook and are inert
+    without one.
     *flag* (optional explicit path) marks the event as fired so the
     rescheduled cell does not re-trigger it.
     """
@@ -250,8 +251,8 @@ def build_spec(
     """Seeded chaos plan for one scenario over *config*'s cell grid.
 
     Same (scenario, config, seed) → same plan.  *stall_duration* should
-    comfortably exceed the resilience policy's hang timeout plus grace
-    period, so the stalled worker is killed rather than outwaited.
+    comfortably exceed the resilience policy's hang timeout, so the
+    stalled worker is killed rather than outwaited.
     """
     if scenario not in SCENARIOS + NET_SCENARIOS:
         raise ValueError(
@@ -477,14 +478,13 @@ def run_chaos(
     workdir.mkdir(parents=True, exist_ok=True)
     if policy is None:
         # Tight timeouts: chaos campaigns are small, and the stall
-        # scenario should escalate in seconds, not minutes.  Speculation
-        # is off so a stalled worker is *escalated* (soft-cancel → kill →
+        # scenario should be detected in seconds, not minutes.
+        # Speculation is off so a stalled worker is *detected* (kill →
         # reschedule) rather than quietly out-raced by a speculative
         # re-execution — the harness must exercise the recovery path.
         policy = ResiliencePolicy(
             heartbeat_interval=0.1,
             hang_timeout=2.0,
-            grace_period=1.0,
             retry_base_delay=0.05,
             retry_max_delay=0.5,
             speculate=False,
@@ -511,7 +511,7 @@ def run_chaos(
         spec = build_spec(
             scenario, config, seed, flag_dir,
             max_attempts=policy.max_attempts,
-            stall_duration=(policy.hang_timeout + policy.grace_period) * 8,
+            stall_duration=8 * policy.hang_timeout,
         )
         store_path = scenario_dir / "store.json"
 

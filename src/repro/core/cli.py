@@ -149,8 +149,9 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--hang-timeout", type=float, default=None, metavar="SECONDS",
-        help="kill-and-reschedule a worker whose heartbeats go silent for "
-        "this long (default 30; cells resume from their last streamed "
+        help="seconds without progress: a worker holding cells whose CPU "
+        "time has not advanced for this long is killed and its cells "
+        "rescheduled (default 30; they resume from their last streamed "
         "checkpoint, bit-identically)",
     )
     parser.add_argument(
@@ -161,15 +162,9 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--heartbeat-interval", type=float, default=None, metavar="SECONDS",
-        help="how often workers heartbeat from the per-sample probe "
-        "(default 0.5; must not exceed --hang-timeout)",
-    )
-    parser.add_argument(
-        "--lease-factor", type=float, default=None, metavar="K",
-        help="a worker owns a dispatched cell for K times its predicted "
-        "wall time (default 16, floored at 60s); an expired lease — an "
-        "unreachable or partitioned owner — is reclaimed and the cell "
-        "rescheduled from its last acked checkpoint",
+        help="how often each worker reports its CPU progress, from a "
+        "thread independent of the sample loop (default 0.5; must not "
+        "exceed --hang-timeout)",
     )
     parser.add_argument(
         "--max-backoff", type=float, default=None, metavar="SECONDS",
@@ -266,9 +261,7 @@ def _policy_from_args(args: argparse.Namespace) -> ResiliencePolicy | None:
     knobs (e.g. a heartbeat interval above the hang timeout).
     """
     overrides = {}
-    for attr in (
-        "hang_timeout", "max_attempts", "heartbeat_interval", "lease_factor",
-    ):
+    for attr in ("hang_timeout", "max_attempts", "heartbeat_interval"):
         value = getattr(args, attr, None)
         if value is not None:
             overrides[attr] = value
@@ -685,15 +678,21 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     # The harness's tight timings (speculation off so stalls exercise the
-    # escalation path), with any CLI overrides applied on top.
+    # stall detector), with any CLI overrides applied on top.
     knobs = dict(
-        heartbeat_interval=0.1, hang_timeout=2.0, grace_period=1.0,
+        heartbeat_interval=0.1, hang_timeout=2.0,
         retry_base_delay=0.05, retry_max_delay=0.5, speculate=False,
     )
     if args.hang_timeout is not None:
         knobs["hang_timeout"] = args.hang_timeout
     if args.max_attempts is not None:
         knobs["max_attempts"] = args.max_attempts
+    policy = ResiliencePolicy(**knobs)
+    try:
+        policy.validate()
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     scenarios = tuple(args.scenarios) if args.scenarios else SCENARIOS
     try:
         report = run_chaos(
@@ -703,7 +702,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             seed=args.chaos_seed,
             workdir=args.workdir,
             backend=args.backend,
-            policy=ResiliencePolicy(**knobs),
+            policy=policy,
             progress=lambda scenario: print(
                 f"chaos: running scenario {scenario!r} ...", file=sys.stderr
             ),
@@ -778,7 +777,9 @@ def main(argv: list[str] | None = None) -> int:
     p_incidents.add_argument(
         "--type", dest="types", default=None, metavar="KINDS",
         help="comma-separated incident kinds to show, e.g. "
-        "retry,lease-expired,poison-cell (default: all)",
+        "retry,worker-hang,poison-cell (default: all; 'lease-expired' "
+        "still filters journals written before stall detection replaced "
+        "leases)",
     )
     p_incidents.set_defaults(func=_cmd_incidents)
 

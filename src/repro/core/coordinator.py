@@ -8,8 +8,9 @@ backend's workers speak — the same
 as CRC-checked, epoch-stamped frames (:mod:`repro.core.wire`) over a
 socket instead of a process queue.  The scheduler in
 :mod:`repro.core.parallel` cannot tell the difference, which is the
-point: leases, retries, quarantine and the byte-identical-to-serial
-guarantee apply unchanged across a network boundary.
+point: stall detection, retries, quarantine and the
+byte-identical-to-serial guarantee apply unchanged across a network
+boundary.
 
 Session protocol (all frames; handshake in epoch 0, the rest in the
 coordinator's session epoch):
@@ -18,7 +19,7 @@ worker → parent   ``("join", {"pid", "host", "epoch"})``
 parent → worker   ``("welcome", worker_id, epoch, WorkerSpec)`` or
                   ``("reject", reason)``
 parent → worker   ``("task", batch|None)`` · ``("stop",)``
-worker → parent   the :func:`worker_loop` stream (ready/start/heartbeat/
+worker → parent   the :func:`worker_loop` stream (ready/start/progress/
                   partial/cell/telemetry/incident/fatal/stopped/bye)
 
 Failure model — every path maps onto machinery the scheduler already
@@ -36,9 +37,11 @@ has:
 * **Stale sessions**: a worker claiming a different session's epoch is
   rejected at handshake, and data frames from a stale epoch read as EOF
   — a campaign can never absorb another campaign's results.
-* **Partition**: a silent-but-connected worker forfeits its cell leases
-  (see DESIGN.md §12); a full partition degrades the pool to the
-  surviving hosts and ultimately to the in-parent serial fallback.
+* **Partition**: a silent-but-connected worker sends no progress
+  reports, so the scheduler's stall rule reclaims its cells and severs
+  the connection (see DESIGN.md §12.4); a full partition degrades the
+  pool to the surviving hosts and ultimately to the in-parent serial
+  fallback.
   Duplicate results from the far side of a healed partition are dropped
   by the first-canonical-result-wins rule.
 
@@ -144,9 +147,9 @@ class _SocketHandle(WorkerHandle):
     def kill(self) -> None:
         """Sever the connection — the strongest "kill" a network allows.
 
-        The worker notices at its next heartbeat send (or instantly via
-        its reader thread) and abandons the cell; the parent has already
-        reclaimed it.  A remote process cannot be SIGKILLed from here,
+        The worker notices at its next send (or instantly via its reader
+        thread) and abandons the cell; the parent has already reclaimed
+        it.  A remote process cannot be SIGKILLed from here,
         only disowned.
         """
         self._dead.set()

@@ -24,8 +24,8 @@ the messages it exchanges, not by how its process was made:
 parent → worker   ``batch`` (list of
                   :class:`~repro.core.campaign.CellTask`), ``None``
                   (shutdown), soft-cancel (per-worker stop flag)
-worker → parent   ``("ready", wid)`` · ``("start", wid, index, golden)``
-                  · ``("heartbeat", wid, index, ordinal)`` ·
+worker → parent   ``("ready", wid)`` · ``("start", wid, index)`` ·
+                  ``("progress", wid, cpu_s)`` ·
                   ``("partial", wid, index, key, checkpoint)`` ·
                   ``("cell", wid, index, end_state)`` ·
                   ``("telemetry", wid, index|None, delta, events)`` ·
@@ -33,16 +33,20 @@ worker → parent   ``("ready", wid)`` · ``("start", wid, index, golden)``
                   ``("fatal", wid, index, type, detail)`` ·
                   ``("stopped", wid)`` · ``("bye", wid)``
 
-Heartbeats piggyback on the per-sample stop probe, so a worker that
-stops heartbeating has by definition stopped making sample progress —
-the scheduler's hang detector needs no second channel.  The
-:class:`ResiliencePolicy` dataclass holds every tunable of the
-resilience protocol layered on top (see DESIGN.md §10).
+Every worker runs a progress reporter thread that sends its CPU time
+(less the reporter's own) every ``heartbeat_interval``.  The value
+advances whenever the worker computes — golden, checkpoint and liveness
+builds, oracle runs, injections alike — and stays flat while it sleeps,
+blocks or is partitioned away, so the scheduler's one failure rule
+("no CPU progress for ``hang_timeout`` with cells in flight") needs no
+simulator hook.  The :class:`ResiliencePolicy` dataclass holds every
+tunable of the resilience protocol layered on top (see DESIGN.md §10).
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import multiprocessing
 import queue as queue_module
 import signal
@@ -59,54 +63,37 @@ from repro.core.campaign import (
     CampaignConfig,
     CellCheckpoint,
     CellTask,
-    golden_run,
     run_task,
 )
 from repro.core.chaos import ChaosSpec
 from repro.cpu.config import CoreConfig
 from repro.errors import CampaignInterrupted, InjectionIncident
-from repro.workloads import get_workload
 
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
     """Every tunable of the executor fabric's failure handling.
 
-    Deadlines are derived, not configured: the scheduler calibrates a
-    golden-cycles-per-wall-second rate from completed cells and allows
-    each in-flight cell ``deadline_factor`` times its predicted wall
-    time (never less than ``deadline_floor`` seconds).  Until the first
-    cell completes there is no rate and no deadline — heartbeat silence
-    (``hang_timeout``) is the primary hang signal throughout.
-
-    **Leases** are the cell-ownership layer on top (DESIGN.md §12): a
-    dispatched cell is *leased* to its worker for
-    ``lease_factor × predicted wall`` seconds (never less than
-    ``lease_floor``), renewed by every message from that worker.  An
-    expired lease means the owner is unreachable — partitioned, killed,
-    or wedged beyond even the hang escalator's reach (a remote host the
-    scheduler cannot SIGKILL) — so ownership is reclaimed and the cell
-    rescheduled; a late result from the old owner is suppressed by the
-    first-canonical-result-wins rule.  The defaults keep the lease
-    horizon comfortably beyond ``hang_timeout + grace_period`` so local
-    backends escalate before they ever forfeit a lease.
+    Failure detection is one rule (DESIGN.md §12.4): a worker with
+    in-flight cells whose reported CPU progress has not advanced for
+    ``hang_timeout`` seconds is stalled — its cells are reclaimed from
+    their last acked checkpoint and the worker is killed (a socket
+    worker's connection severed) and replaced within the restart budget.
+    Workers report every ``heartbeat_interval``.  A slow worker that is
+    still progressing is never accused; at most speculation
+    (``straggler_factor`` × the mean cell wall time) races it.
     """
 
     heartbeat_interval: float = 0.5
     hang_timeout: float = 30.0
-    grace_period: float = 5.0
     max_attempts: int = 3
     retry_base_delay: float = 0.25
     retry_max_delay: float = 30.0
     retry_jitter: float = 0.25
-    deadline_factor: float = 8.0
-    deadline_floor: float = 10.0
     straggler_factor: float = 3.0
     speculate: bool = True
     restarts_per_worker: int = 2
     degrade_to_serial: bool = True
-    lease_factor: float = 16.0
-    lease_floor: float = 60.0
 
     def validate(self) -> None:
         """Reject self-contradictory knob combinations loudly.
@@ -120,14 +107,9 @@ class ResiliencePolicy:
         positive = {
             "heartbeat_interval": self.heartbeat_interval,
             "hang_timeout": self.hang_timeout,
-            "grace_period": self.grace_period,
             "retry_base_delay": self.retry_base_delay,
             "retry_max_delay": self.retry_max_delay,
-            "deadline_factor": self.deadline_factor,
-            "deadline_floor": self.deadline_floor,
             "straggler_factor": self.straggler_factor,
-            "lease_factor": self.lease_factor,
-            "lease_floor": self.lease_floor,
         }
         for name, value in positive.items():
             if value <= 0:
@@ -154,7 +136,7 @@ class ResiliencePolicy:
             raise ConfigError(
                 f"heartbeat_interval ({self.heartbeat_interval}) must not "
                 f"exceed hang_timeout ({self.hang_timeout}) — every live "
-                f"worker would look hung"
+                f"worker would look stalled"
             )
 
     def backoff(self, cell_key: str, attempt: int) -> float:
@@ -227,9 +209,10 @@ class _TelemetryShipper:
     After every finished cell the worker snapshots its local registry,
     ships the delta since the previous snapshot (tagged with the cell's
     canonical index, so the parent can merge in canonical cell order) and
-    drains its trace buffer into the same message.  Worker-scoped
-    activity between cells ships with ``index=None`` at batch boundaries
-    and shutdown.
+    drains its trace buffer into the same message; a cell interrupted by
+    a soft-cancel ships its partial delta under its index too.
+    Worker-scoped activity between cells ships with ``index=None`` at
+    batch boundaries and shutdown.
     """
 
     def __init__(self, send: Callable, worker_id: int, telemetry) -> None:
@@ -255,37 +238,50 @@ class _TelemetryShipper:
 
 
 def _make_probe(
-    task: CellTask,
-    spec: WorkerSpec,
-    send: Callable,
-    worker_id: int,
-    stop_flag: Callable[[], bool],
+    task: CellTask, spec: WorkerSpec, stop_flag: Callable[[], bool]
 ) -> Callable[[], bool]:
-    """The per-sample stop probe: chaos hook + heartbeat + stop check.
+    """The per-sample stop probe: chaos hook + stop check.
 
-    Probed once before every sample by :func:`run_cell`; *ordinal*
-    counts probes within this dispatch (it restarts at 0 when a
-    rescheduled cell resumes from a checkpoint).  Chaos events fire
-    before the heartbeat, so an ordinal-0 kill dies as silently as a
-    real startup segfault.
+    Probed once before every sample by :func:`run_cell`; the ordinal
+    passed to the chaos hook counts probes within this dispatch (it
+    restarts at 0 when a rescheduled cell resumes from a checkpoint).
     """
-    state = {"ordinal": -1, "beat": time.monotonic()}
+    ordinals = itertools.count()
     chaos = spec.chaos
 
     def probe() -> bool:
-        state["ordinal"] += 1
+        ordinal = next(ordinals)
         if chaos is not None:
             chaos.worker_event(
-                task.workload, task.component, task.cardinality,
-                state["ordinal"],
+                task.workload, task.component, task.cardinality, ordinal,
             )
-        now = time.monotonic()
-        if now - state["beat"] >= spec.heartbeat_interval:
-            send(("heartbeat", worker_id, task.index, state["ordinal"]))
-            state["beat"] = now
         return stop_flag()
 
     return probe
+
+
+def _serialised(send: Callable[[tuple], None]) -> Callable[[tuple], None]:
+    """*send* behind a lock: the worker's main thread and its progress
+    reporter share one transport, and a pipe ``Connection`` is not
+    thread-safe."""
+    lock = threading.Lock()
+
+    def locked_send(message: tuple) -> None:
+        with lock:
+            send(message)
+
+    return locked_send
+
+
+def _report_progress(
+    send: Callable[[tuple], None], worker_id: int, interval: float,
+    finished: threading.Event,
+) -> None:
+    """Send this process's CPU time, less the reporter's own, every
+    *interval* until *finished* — the scheduler's progress signal."""
+    while not finished.wait(interval):
+        send(("progress", worker_id,
+              time.process_time() - time.thread_time()))
 
 
 def worker_loop(
@@ -302,14 +298,34 @@ def worker_loop(
     shutdown.  *stop_flag* is the soft-cancel probe — polled between
     samples, so a cancelled worker flushes one final mid-cell checkpoint
     before exiting.  SIGINT/SIGTERM are ignored here: shutdown is the
-    parent's job, delivered through the stop flag (the scheduler
-    escalates to SIGKILL when a worker ignores that too).
+    parent's job, delivered through the stop flag.  A daemon thread
+    reports CPU progress for as long as the loop runs.
     """
     for signum in (signal.SIGINT, signal.SIGTERM):
         try:
             signal.signal(signum, signal.SIG_IGN)
         except (ValueError, OSError):  # pragma: no cover - non-main thread
             pass
+    send = _serialised(send)
+    finished = threading.Event()
+    threading.Thread(
+        target=_report_progress,
+        args=(send, worker_id, spec.heartbeat_interval, finished),
+        name=f"repro-worker-{worker_id}-progress", daemon=True,
+    ).start()
+    try:
+        _serve_batches(worker_id, spec, recv_batch, send, stop_flag)
+    finally:
+        finished.set()
+
+
+def _serve_batches(
+    worker_id: int,
+    spec: WorkerSpec,
+    recv_batch: Callable[[float], object],
+    send: Callable[[tuple], None],
+    stop_flag: Callable[[], bool],
+) -> None:
     # Fresh per-worker telemetry: anything inherited over fork belongs to
     # the parent and must not be double-reported from here.
     obs.disable()
@@ -348,36 +364,22 @@ def worker_loop(
                     shipper.ship()
                     send(("stopped", worker_id))
                     return
-                # Golden cycles are the deadline currency: computed (or
-                # cache-served) for the campaign's machine before the cell,
-                # so the parent can bound its wall clock from the very
-                # first heartbeat.
-                try:
-                    golden_cycles = golden_run(
-                        get_workload(task.workload), spec.core_cfg,
-                        cores=spec.config.cores,
-                    ).cycles
-                except Exception as exc:  # noqa: BLE001 - surface, don't hang
-                    shipper.ship()
-                    send(("fatal", worker_id, task.index,
-                          type(exc).__name__,
-                          f"{exc}\n{traceback_module.format_exc()}"))
-                    return
-                send(("start", worker_id, task.index, golden_cycles))
+                send(("start", worker_id, task.index))
                 try:
                     state = run_task(
                         task, spec.config, spec.core_cfg,
                         supervisor=supervisor,
                         store=_SendStore(send, worker_id, task.index),
                         checkpoint_every=spec.checkpoint_every,
-                        stop=_make_probe(
-                            task, spec, send, worker_id, stop_flag
-                        ),
+                        stop=_make_probe(task, spec, stop_flag),
                         verify=spec.verify,
                         prune=spec.prune,
                     )
                 except CampaignInterrupted:
-                    shipper.ship()
+                    # Tagged with the cell: a soft-cancelled duplicate of a
+                    # cell that is already merged then counts as lost, not
+                    # as extra simulation.
+                    shipper.ship(task.index)
                     send(("stopped", worker_id))
                     return
                 except InjectionIncident as exc:
@@ -519,9 +521,9 @@ class _MpHandle(WorkerHandle):
 class MultiprocessingBackend(ExecutorBackend):
     """Forked (or spawned) workers, each with its own channels.
 
-    A worker gets a task queue, a stop event — what makes targeted
-    soft-cancel (hang escalation, straggler cancellation) possible — and
-    a result pipe it writes from its main thread; a parent-side reader
+    A worker gets a task queue, a stop event (the graceful-drain
+    soft-cancel) and a result pipe its main thread and progress reporter
+    write under one lock; a parent-side reader
     thread per pipe feeds one inbox.  Nothing on the result path is
     shared between workers: a worker killed mid-send tears only its own
     stream, which then reads as EOF.  (A shared multiprocessing queue

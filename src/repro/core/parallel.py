@@ -28,24 +28,19 @@ Architecture (one parent, N workers behind a pluggable backend):
   :class:`~repro.core.campaign.CampaignStore`; they stream end states
   and mid-cell checkpoints to the parent, which is the only process
   appending to the store journal and the incident journal.
-* **Heartbeats and derived deadlines.**  Workers heartbeat from the
-  per-sample stop probe; a worker with in-flight cells that goes silent
-  past the policy's hang timeout — or blows through a per-task wall-clock
-  deadline derived from golden-run cycle counts and the samples the task
-  will run — is escalated:
-  soft-cancel (stop at the next sample, flush a final checkpoint), then
-  kill after a grace period of continued silence, then reschedule from
-  the last streamed checkpoint.
-* **Lease-based cell ownership.**  Every started cell is leased to its
-  worker for a duration calibrated from golden-run cycles
-  (``lease_factor`` × predicted wall, floored); any message from the
-  owner renews its leases.  An expired lease — a partitioned or
-  half-open connection whose heartbeats stopped arriving — forfeits
-  ownership: the cell is reclaimed, journalled as a ``lease-expired``
-  incident, and rescheduled from its last acked checkpoint, while a
-  late duplicate result from the old owner is suppressed by the
-  first-canonical-result-wins rule.  See DESIGN.md §12.
-* **Bounded retry with backoff.**  Every reschedule (crash, hang, lost
+* **Progress-based failure detection.**  Every worker reports its CPU
+  time from a reporter thread; the value advances whenever the worker
+  computes, in any phase, and stays flat while it sleeps, blocks or is
+  cut off.  One rule covers hangs, wedged workers and partitioned or
+  half-open connections alike: a worker with in-flight cells whose
+  progress has not advanced for the policy's ``hang_timeout`` is
+  stalled — its cells are reclaimed from their last streamed
+  checkpoint, a ``worker-hang`` incident is journalled, and the worker
+  is killed (a socket worker's connection severed) and replaced within
+  the restart budget.  A late duplicate result from the old owner is
+  suppressed by the first-canonical-result-wins rule.  See DESIGN.md
+  §12.4.
+* **Bounded retry with backoff.**  Every reschedule (crash, stall, lost
   result) is journalled as a structured ``retry`` incident — attempt
   number, backoff delay, cause — and re-dispatched after an exponential
   backoff with deterministic jitter.  A cell that fails
@@ -115,9 +110,15 @@ from repro.errors import (
 from repro.workloads import get_workload
 
 #: How long the parent waits on the backend before running its liveness /
-#: escalation / retry tick.  Small enough that a crashed worker is noticed
+#: stall / retry tick.  Small enough that a crashed worker is noticed
 #: promptly, large enough not to busy-wait.
 _POLL_INTERVAL = 0.1
+
+#: CPU seconds a progress report must add to the worker's last accepted
+#: one to count as progress.  Far above the reporter's own measurement
+#: jitter (microseconds while the worker sleeps), far below what any
+#: computing worker adds within a hang timeout.
+_MIN_PROGRESS_CPU = 0.001
 
 
 def _affinity_batches(tasks: list[CellTask], jobs: int) -> list[list[CellTask]]:
@@ -142,58 +143,6 @@ def _affinity_batches(tasks: list[CellTask], jobs: int) -> list[list[CellTask]]:
     # Longest batches first: better tail latency under dynamic dispatch.
     batches.sort(key=len, reverse=True)
     return batches
-
-
-class _DeadlineModel:
-    """Wall-clock deadlines derived from golden-run cycle counts.
-
-    The scheduler cannot know cycles-per-second a priori, so it
-    calibrates from completed tasks: a task's simulation budget — its
-    *units* — is proportional to ``golden_cycles × samples it runs``, and
-    the observed units-per-second rate turns the budget of an in-flight
-    task into a predicted wall time.  The deadline is ``deadline_factor``
-    times that prediction (floored) — generous enough for cache-cold
-    workers, tight enough to catch a livelocked cell that keeps
-    heartbeating.
-    """
-
-    def __init__(self, policy: ResiliencePolicy) -> None:
-        self._policy = policy
-        self._units = 0.0
-        self._wall = 0.0
-        self._count = 0
-
-    def record(self, units: float | None, wall: float) -> None:
-        if units is None or wall <= 0:
-            return
-        self._units += units
-        self._wall += wall
-        self._count += 1
-
-    def predict_wall(self, units: float) -> float | None:
-        """Predicted wall seconds for a task, or ``None`` (uncalibrated)."""
-        if self._wall <= 0 or self._units <= 0:
-            return None
-        return units * self._wall / self._units
-
-    def predict(self, units: float) -> float | None:
-        """Allowed wall seconds for a task, or ``None`` (uncalibrated)."""
-        predicted = self.predict_wall(units)
-        if predicted is None:
-            return None
-        return max(
-            self._policy.deadline_floor,
-            self._policy.deadline_factor * predicted,
-        )
-
-    def mean_wall(self) -> float | None:
-        if self._count == 0:
-            return None
-        return self._wall / self._count
-
-
-def _samples_to_run(task: CellTask) -> int:
-    return max(1, task.samples - (task.start.samples_done if task.start else 0))
 
 
 class _Scheduler:
@@ -245,9 +194,11 @@ class _Scheduler:
         self.handles: dict[int, WorkerHandle] = {}
         self.assigned: dict[int, list[CellTask]] = {}
         self.retired: set[int] = set()
-        self.cancelled: dict[int, float] = {}
         self.idle: set[int] = set()
-        self.last_seen: dict[int, float] = {}
+        # The failure detector's state: when each worker last made CPU
+        # progress (or was handed work), and how much CPU that was.
+        self.last_progress: dict[int, float] = {}
+        self.progress_cpu: dict[int, float] = {}
         self.batches: deque[list[CellTask]] = deque()
         self.retry_heap: list[tuple[float, int, list[CellTask]]] = []
         self._retry_seq = 0
@@ -264,21 +215,8 @@ class _Scheduler:
         self.live: dict[int, CellCheckpoint | None] = {
             task.index: task.start for task in tasks
         }
-        self.cell_golden: dict[int, int] = {}
-        self.units: dict[int, float] = {}
         self.start_times: dict[int, float] = {}
-        self.deadlines: dict[int, float | None] = {}
-        self.running: dict[int, int] = {}
-        # Lease-based cell ownership (the distributed-fabric invariant):
-        # a started cell is *leased* to its worker, the lease renewed by
-        # every message from that worker.  An expired lease — a worker
-        # on the wrong side of a partition, or one whose heartbeats stopped
-        # reaching us — forfeits ownership: the cell is reclaimed and
-        # rescheduled from its last acked checkpoint, and any late result
-        # from the old owner is dropped by first-canonical-result-wins.
-        self.leases: dict[int, float] = {}
-        self.lease_durations: dict[int, float] = {}
-        self.model = _DeadlineModel(policy)
+        self.cell_walls: list[float] = []
 
         # Accounting.
         self.total_incidents = 0
@@ -389,7 +327,6 @@ class _Scheduler:
             return
         self.handles[handle.worker_id] = handle
         self.assigned[handle.worker_id] = []
-        self.last_seen[handle.worker_id] = time.monotonic()
         self._counter("exec.workers_spawned")
 
     def _mark_degraded(self, reason: str) -> None:
@@ -421,25 +358,26 @@ class _Scheduler:
     def _retire(self, worker_id: int) -> None:
         self.retired.add(worker_id)
         self.idle.discard(worker_id)
-        self.cancelled.pop(worker_id, None)
 
-    # -- failure handling --------------------------------------------------
-
-    def _worker_death(self, worker_id: int, kind: str, cause: str) -> None:
-        """A worker died (or was killed after hanging): journal, count,
-        reschedule its in-flight cells, and replace it within budget."""
-        handle = self.handles[worker_id]
-        handle.kill()
-        handle.join(timeout=1.0)  # reap, so exitcode is real in the record
-        self._retire(worker_id)
+    def _take_in_flight(self, worker_id: int) -> list[CellTask]:
+        """Unassign *worker_id*'s batch; return its still-pending cells."""
         remaining = [
             task for task in self.assigned[worker_id]
             if task.index in self.pending_done
         ]
         self.assigned[worker_id] = []
-        for task in remaining:
-            self.running.pop(task.index, None)
-            self._drop_lease(task.index)
+        return remaining
+
+    # -- failure handling --------------------------------------------------
+
+    def _worker_death(self, worker_id: int, kind: str, cause: str) -> None:
+        """A worker died (or was killed for stalling): journal, count,
+        reschedule its in-flight cells, and replace it within budget."""
+        handle = self.handles[worker_id]
+        handle.kill()
+        handle.join(timeout=1.0)  # reap, so exitcode is real in the record
+        self._retire(worker_id)
+        remaining = self._take_in_flight(worker_id)
         label = self._cell_label(remaining[0].index) if remaining else "idle"
         # The telemetry a worker accumulated since its last per-cell ship
         # dies with it — count the loss instead of silently absorbing it.
@@ -447,7 +385,8 @@ class _Scheduler:
         self._counter("exec.lost_deltas", lost_deltas)
         verb = (
             f"died with exit code {handle.exitcode()}" if kind == "worker-crash"
-            else "hung (no heartbeat) and was killed"
+            else f"made no CPU progress for {self.policy.hang_timeout:g}s "
+            f"and was killed"
         )
         incident = self._fabric_incident(
             kind,
@@ -519,18 +458,15 @@ class _Scheduler:
         index = task.index
         state = self.live.get(index)
         if state is None:
-            golden = self.cell_golden.get(index)
-            if golden is None:
-                # Fault-free golden run in the parent: safe (the poison is
-                # in the cell's *injections*) and cached.
-                golden = golden_run(
-                    get_workload(task.workload), self.core_cfg,
-                    cores=self.config.cores,
-                ).cycles
-            # No RNG state to carry: a quarantined cell is never resumed.
+            # Fault-free golden run in the parent: safe (the poison is in
+            # the cell's *injections*) and cached.  No RNG state to carry:
+            # a quarantined cell is never resumed.
             state = CellCheckpoint(
                 samples_done=0, counts=ClassCounts(), cycle_rng_state=None,
-                generator_rng_state=None, golden_cycles=golden,
+                generator_rng_state=None, golden_cycles=golden_run(
+                    get_workload(task.workload), self.core_cfg,
+                    cores=self.config.cores,
+                ).cycles,
             )
         done = state.samples_done
         lost = max(0, task.samples - done)
@@ -554,108 +490,11 @@ class _Scheduler:
             "poison-cell", cell=self._cell_label(index), attempts=attempts,
             lost=lost,
         )
-        self.deadlines.pop(index, None)
-        self.running.pop(index, None)
-        self._drop_lease(index)
         self._finish(index, state)
         if self.strict:
             self.abort_exc = InjectionIncident(f"[strict] {incident.message}")
             return
         self._budget_abort(incident.message)
-
-    # -- lease-based cell ownership ----------------------------------------
-
-    def _lease_duration(self, units: float | None) -> float:
-        """How long a worker may own a cell without the parent hearing
-        from it, calibrated (like deadlines) from golden-run cycles.
-
-        ``lease_factor`` is deliberately generous next to
-        ``deadline_factor``: a lease expiry accuses the *transport*
-        (partition, half-open connection), not the cell, so it should
-        fire only when heartbeats that would have renewed it stopped
-        arriving for many predicted cell-lifetimes.
-        """
-        predicted = (
-            self.model.predict_wall(units) if units is not None else None
-        )
-        if predicted is None:
-            return self.policy.lease_floor
-        return max(
-            self.policy.lease_floor, self.policy.lease_factor * predicted
-        )
-
-    def _grant_lease(self, index: int, now: float) -> None:
-        duration = self._lease_duration(self.units.get(index))
-        self.lease_durations[index] = duration
-        self.leases[index] = now + duration
-
-    def _renew_leases(self, worker_id: int, now: float) -> None:
-        """Any message from a worker renews the leases it holds — a
-        heartbeating owner keeps its cells no matter how slow they are
-        (the deadline machinery, not the lease, polices slowness)."""
-        for index, owner in self.running.items():
-            if owner == worker_id and index in self.leases:
-                self.leases[index] = now + self.lease_durations.get(
-                    index, self.policy.lease_floor
-                )
-
-    def _drop_lease(self, index: int) -> None:
-        self.leases.pop(index, None)
-        self.lease_durations.pop(index, None)
-
-    def _reclaim_expired_leases(self, now: float) -> None:
-        for index in [
-            index for index, expiry in self.leases.items() if now > expiry
-        ]:
-            if self.abort_exc is not None:
-                return
-            if index not in self.pending_done:
-                self._drop_lease(index)
-                continue
-            self._reclaim_lease(index, now)
-
-    def _reclaim_lease(self, index: int, now: float) -> None:
-        """An expired lease: take the cell back from its unreachable
-        owner and reschedule it from the last acked checkpoint.
-
-        The old owner is soft-cancelled (escalating to a kill if it
-        stays silent through the grace period); a duplicate result from
-        it racing the retry is suppressed because the first canonical
-        result already cleared ``pending_done``.
-        """
-        owner = self.running.get(index)
-        duration = self.lease_durations.get(index, self.policy.lease_floor)
-        age = now - self.start_times.get(index, now)
-        self._drop_lease(index)
-        self.running.pop(index, None)
-        self.deadlines.pop(index, None)
-        task = self._retry_task(index)
-        if owner is not None:
-            # Strip the cell from the owner's assignment so its eventual
-            # death (or next "ready") cannot reschedule it a second time.
-            self.assigned[owner] = [
-                t for t in self.assigned.get(owner, []) if t.index != index
-            ]
-            handle = self.handles.get(owner)
-            if handle is not None and owner not in self.retired:
-                handle.soft_cancel()
-                self.cancelled.setdefault(owner, now)
-        self._journal_only(self._fabric_incident(
-            "lease-expired", index, "LeaseExpired",
-            f"lease on {self._cell_label(index)} expired after "
-            f"{age:.1f}s (duration {duration:.1f}s; owner "
-            f"{'worker %d' % owner if owner is not None else 'unknown'} "
-            f"unreachable); ownership reclaimed and the cell rescheduled "
-            f"from its last acked checkpoint",
-            {"worker": owner, "age": round(age, 3),
-             "lease": round(duration, 3)},
-        ))
-        self._counter("exec.lease_expired")
-        self._instant(
-            "lease-expired", cell=self._cell_label(index), worker=owner,
-            age=round(age, 3),
-        )
-        self._reschedule([task], cause="lease-expired", worker=owner)
 
     # -- dispatch ----------------------------------------------------------
 
@@ -679,20 +518,24 @@ class _Scheduler:
         if not batch:
             self._dispatch(worker_id)
             return
+        self._assign(worker_id, batch)
+
+    def _assign(self, worker_id: int, batch: list[CellTask]) -> None:
+        """Hand *batch* to *worker_id*; its progress clock starts now."""
         self.assigned[worker_id] = batch
         self.idle.discard(worker_id)
+        self.last_progress[worker_id] = time.monotonic()
         self.handles[worker_id].send(batch)
 
     def _speculate(self, now: float) -> None:
         """Re-execute the worst straggler on an idle worker."""
         if not (self.policy.speculate and self.idle):
             return
-        if self.batches or self.retry_heap:
+        if self.batches or self.retry_heap or not self.cell_walls:
             return
-        mean = self.model.mean_wall()
-        if mean is None:
-            return
-        threshold = self.policy.straggler_factor * mean
+        threshold = self.policy.straggler_factor * (
+            sum(self.cell_walls) / len(self.cell_walls)
+        )
         candidates = [
             (now - started, index)
             for index, started in self.start_times.items()
@@ -706,67 +549,38 @@ class _Scheduler:
         worker_id = min(self.idle)
         task = self._retry_task(index)
         self.speculated.add(index)
-        self.idle.discard(worker_id)
-        self.assigned[worker_id] = [task]
-        self.handles[worker_id].send([task])
+        self._assign(worker_id, [task])
         self._counter("exec.speculative")
         self._instant(
             "speculate", cell=self._cell_label(index), worker=worker_id,
         )
 
-    # -- escalation & liveness ---------------------------------------------
+    # -- failure detection -----------------------------------------------
 
     def _reap_dead(self) -> None:
         for worker_id in list(self.handles):
             if worker_id in self.retired:
                 continue
             if not self.handles[worker_id].alive():
-                self._worker_death(
-                    worker_id,
-                    "worker-hang" if worker_id in self.cancelled
-                    else "worker-crash",
-                    "exit",
-                )
+                self._worker_death(worker_id, "worker-crash", "exit")
                 if self.abort_exc is not None:
                     return
 
     def _tick(self, now: float) -> None:
-        self._reclaim_expired_leases(now)
-        if self.abort_exc is not None:
-            return
-        # Hang / deadline escalation: only workers with in-flight cells
-        # owe us heartbeats; idle workers are silent by design.
+        # The one failure rule: a worker holding in-flight cells whose
+        # CPU progress has not advanced for hang_timeout is stalled.
+        # Idle workers owe no progress.  At most one verdict per tick, so
+        # every verdict is taken on a freshly drained inbox.
         for worker_id in list(self.handles):
-            if worker_id in self.retired:
+            if worker_id in self.retired or not any(
+                task.index in self.pending_done
+                for task in self.assigned[worker_id]
+            ):
                 continue
-            handle = self.handles[worker_id]
-            in_flight = [
-                task.index for task in self.assigned[worker_id]
-                if task.index in self.pending_done
-            ]
-            if worker_id in self.cancelled:
-                if now - self.cancelled[worker_id] > self.policy.grace_period:
-                    self._worker_death(worker_id, "worker-hang", "grace")
-                    if self.abort_exc is not None:
-                        return
-                continue
-            if not in_flight:
-                continue
-            silent = now - self.last_seen.get(worker_id, now)
-            over_deadline = any(
-                self.deadlines.get(index) is not None
-                and now > self.deadlines[index]
-                and self.running.get(index) == worker_id
-                for index in in_flight
-            )
-            if silent > self.policy.hang_timeout or over_deadline:
-                handle.soft_cancel()
-                self.cancelled[worker_id] = now
-                self._counter("exec.soft_cancels")
-                self._instant(
-                    "soft-cancel", worker=worker_id,
-                    silent=round(silent, 3), deadline=over_deadline,
-                )
+            stalled = now - self.last_progress.get(worker_id, now)
+            if stalled > self.policy.hang_timeout:
+                self._worker_death(worker_id, "worker-hang", "stall")
+                return
         # Due retries → idle workers.
         while (
             self.idle and self.retry_heap and self.retry_heap[0][0] <= now
@@ -800,55 +614,28 @@ class _Scheduler:
     def _handle(self, message: tuple) -> None:
         kind = message[0]
         worker_id = message[1]
-        self.last_seen[worker_id] = time.monotonic()
-        self._renew_leases(worker_id, self.last_seen[worker_id])
-        if worker_id in self.cancelled:
-            # Still responsive: postpone the kill — a cancelled worker
-            # that keeps talking will stop at its next sample boundary.
-            self.cancelled[worker_id] = self.last_seen[worker_id]
         if kind == "ready":
             if worker_id in self.retired:
                 return
             # Per-worker FIFO means every result of the finished batch
             # already arrived — anything still pending was lost in flight
             # (dropped message, torn transport) and must be re-executed.
-            lost = [
-                task for task in self.assigned[worker_id]
-                if task.index in self.pending_done
-                and not self.global_stop
-            ]
-            self.assigned[worker_id] = []
-            for task in lost:
-                self.running.pop(task.index, None)
-                self._drop_lease(task.index)
-            if lost:
+            lost = self._take_in_flight(worker_id)
+            if lost and not self.global_stop:
                 self._counter("exec.lost_results", len(lost))
                 self._reschedule(
                     lost, cause="lost-result", worker=worker_id
                 )
                 if self.abort_exc is not None:
                     return
-            if worker_id in self.cancelled:
-                return  # it is about to stop; don't race a new batch
             self._dispatch(worker_id)
         elif kind == "start":
-            _, _, index, golden_cycles = message
-            self.cell_golden[index] = golden_cycles
-            task = next(
-                (t for t in self.assigned[worker_id] if t.index == index),
-                self.tasks[index],
-            )
-            self.units[index] = float(golden_cycles) * _samples_to_run(task)
-            now = time.monotonic()
-            self.start_times[index] = now
-            self.running[index] = worker_id
-            predicted = self.model.predict(self.units[index])
-            self.deadlines[index] = (
-                now + predicted if predicted is not None else None
-            )
-            self._grant_lease(index, now)
-        elif kind == "heartbeat":
-            self._counter("exec.heartbeats")
+            self.start_times[message[2]] = time.monotonic()
+        elif kind == "progress":
+            cpu = message[2]
+            if cpu > self.progress_cpu.get(worker_id, 0.0) + _MIN_PROGRESS_CPU:
+                self.progress_cpu[worker_id] = cpu
+                self.last_progress[worker_id] = time.monotonic()
         elif kind == "partial":
             _, _, index, key, state = message
             if index in self.pending_done:
@@ -861,12 +648,7 @@ class _Scheduler:
                 return  # duplicate from a reschedule or speculation
             started = self.start_times.pop(index, None)
             if started is not None:
-                self.model.record(
-                    self.units.get(index), time.monotonic() - started
-                )
-            self.deadlines.pop(index, None)
-            self.running.pop(index, None)
-            self._drop_lease(index)
+                self.cell_walls.append(time.monotonic() - started)
             if self.store is not None:
                 task = self.tasks[index]
                 self.store.put(task.cell_key, task.result(state))
@@ -896,26 +678,12 @@ class _Scheduler:
                 f"{self._cell_label(index)}: {error_type}: {detail}"
             )
         elif kind == "stopped":
-            was_cancelled = worker_id in self.cancelled
             self._retire(worker_id)
             if self.global_stop:
                 return
-            remaining = [
-                task for task in self.assigned[worker_id]
-                if task.index in self.pending_done
-            ]
-            self.assigned[worker_id] = []
-            for task in remaining:
-                self.running.pop(task.index, None)
-                self._drop_lease(task.index)
+            remaining = self._take_in_flight(worker_id)
             if remaining:
-                self._reschedule(
-                    remaining,
-                    cause="cancelled" if was_cancelled else "stopped",
-                    worker=worker_id,
-                )
-            if was_cancelled and self.abort_exc is None:
-                self._replace_worker()
+                self._reschedule(remaining, cause="stopped", worker=worker_id)
         elif kind == "bye":
             self._retire(worker_id)
 
@@ -1073,10 +841,15 @@ class _Scheduler:
                             f"degradation is disabled"
                         )
                     break
-                for message in self._recv_with_chaos(_POLL_INTERVAL):
-                    self._handle(message)
-                    if self.abort_exc is not None:
-                        break
+                # Drain everything queued before judging progress: reports
+                # that piled up while the parent was busy are not silence.
+                messages = self._recv_with_chaos(_POLL_INTERVAL)
+                while messages and self.abort_exc is None:
+                    for message in messages:
+                        self._handle(message)
+                        if self.abort_exc is not None:
+                            break
+                    messages = self._recv_with_chaos(0)
                 if self.abort_exc is None:
                     self._tick(time.monotonic())
         except KeyboardInterrupt:

@@ -371,10 +371,7 @@ def render_telemetry(summary: dict) -> str:
         header += f" · {pruning * 100:.1f}% pruned"
     fabric = derived.get("fabric")
     if fabric:
-        header += (
-            f" · fabric: {fabric.get('joins', 0)} join(s), "
-            f"{fabric.get('lease_expired', 0)} lease(s) expired"
-        )
+        header += f" · fabric: {fabric.get('joins', 0)} join(s)"
     lines = [header, ""]
     counters = summary.get("counters", {})
     if counters:

@@ -45,7 +45,8 @@ from repro.workloads.base import Workload
 
 #: Every incident kind any layer journals — the supervisor's contained
 #: injection failures plus the executor fabric's (see
-#: :class:`Incident` and ``repro-campaign incidents --type``).
+#: :class:`Incident` and ``repro-campaign incidents --type``), and
+#: ``lease-expired``, which only older journals hold.
 INCIDENT_KINDS = (
     "exception",
     "watchdog",
@@ -66,15 +67,16 @@ class Incident:
     ``"watchdog"`` for a step-budget trip (simulator livelock), and for
     the parallel executor fabric (see :mod:`repro.core.parallel`):
     ``"worker-crash"`` (a worker process died outright),
-    ``"worker-hang"`` (a silent or over-deadline worker was killed after
-    ignoring a soft cancel), ``"retry"`` (a cell was rescheduled — pure
-    bookkeeping, never counted against the incident budget),
-    ``"lease-expired"`` (a cell's ownership lease ran out because its
-    worker — typically on the wrong side of a network partition — went
-    unreachable; the cell was reclaimed and rescheduled, also pure
-    bookkeeping), ``"poison-cell"`` (a cell exhausted its attempt budget and was
-    quarantined) and ``"degraded"`` (the worker pool shrank to nothing
-    and the scheduler fell back to in-process serial execution).
+    ``"worker-hang"`` (a worker holding cells made no CPU progress for
+    the hang timeout — wedged, or on the wrong side of a network
+    partition — and was killed, its cells reclaimed), ``"retry"`` (a
+    cell was rescheduled — pure bookkeeping, never counted against the
+    incident budget), ``"lease-expired"`` (written only by older
+    versions, whose cell leases stall detection replaced; kept so their
+    journals still filter), ``"poison-cell"`` (a cell exhausted its
+    attempt budget and was quarantined) and ``"degraded"`` (the worker
+    pool shrank to nothing and the scheduler fell back to in-process
+    serial execution).
     Fabric incidents carry ``sample_index``/``inject_cycle`` of ``-1``
     and machine-readable context in ``details`` (attempt number, backoff
     delay, cause, lost telemetry deltas...).  ``mask`` is the serialised

@@ -116,11 +116,10 @@ class WorkerHang(InjectionIncident):
     """A parallel campaign worker stopped making progress.
 
     Raised conceptually (and journalled as kind ``worker-hang``) when a
-    worker with in-flight cells goes silent past the resilience policy's
-    hang timeout, or blows through a cell's wall-clock deadline, and does
-    not respond to a soft cancel within the grace period.  The scheduler
-    kills the worker and reschedules its cells from the last streamed
-    checkpoint; the exception type exists for ``--strict`` escalation.
+    worker with in-flight cells reports no CPU progress for the
+    resilience policy's hang timeout.  The scheduler kills the worker and
+    reschedules its cells from the last streamed checkpoint; the
+    exception type exists for ``--strict`` escalation.
     """
 
 

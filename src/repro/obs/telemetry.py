@@ -87,7 +87,7 @@ class Telemetry:
         pruning_rate = None
         if (pruned + undecided) and samples:
             pruning_rate = round(pruned / samples, 6)
-        # Distributed-fabric health (socket coordinator + leases): absent
+        # Distributed-fabric health (socket coordinator): absent
         # entirely for runs that never touched that machinery.
         fabric_keys = {
             "joins": "exec.fabric.joins",
@@ -95,7 +95,6 @@ class Telemetry:
             "stale_joins": "exec.fabric.stale_joins",
             "corrupt_frames": "exec.fabric.corrupt_frames",
             "stale_frames": "exec.fabric.stale_frames",
-            "lease_expired": "exec.lease_expired",
         }
         fabric = None
         if any(counter in counters for counter in fabric_keys.values()):

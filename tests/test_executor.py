@@ -20,6 +20,7 @@ from repro.core.executor import (
     ALL_BACKEND_NAMES,
     ResiliencePolicy,
     WorkerSpec,
+    _serialised,
     create_backend,
 )
 from repro.core.parallel import run_campaign_parallel
@@ -80,6 +81,52 @@ def test_create_backend_rejects_unknown_name():
     )
     with pytest.raises(ValueError, match="unknown executor backend"):
         create_backend("carrier-pigeon", spec)
+
+
+def test_serialised_send_keeps_concurrent_pipe_messages_whole():
+    """A worker's main thread and progress reporter share one result
+    pipe; large messages are written in several chunks, so only the send
+    lock keeps them from interleaving into an unreadable stream."""
+    import multiprocessing
+    import sys
+    import threading
+
+    reader, writer = multiprocessing.Pipe(duplex=False)
+    send = _serialised(writer.send)
+    senders, per_sender = 4, 25
+    received = []
+    drain = threading.Thread(target=lambda: received.extend(
+        reader.recv() for _ in range(senders * per_sender)
+    ), daemon=True)
+
+    def burst(sender):
+        for ordinal in range(per_sender):
+            send(("partial", sender, ordinal, bytes([sender]) * 40_000))
+
+    threads = [
+        threading.Thread(target=burst, args=(sender,), daemon=True)
+        for sender in range(senders)
+    ]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        drain.start()
+        for thread in threads:
+            thread.start()
+        for thread in threads + [drain]:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+        writer.close()
+        reader.close()
+    assert not any(thread.is_alive() for thread in threads + [drain])
+    assert sorted(message[1:3] for message in received) == [
+        (sender, ordinal)
+        for sender in range(senders) for ordinal in range(per_sender)
+    ]
+    assert all(
+        message[3] == bytes([message[1]]) * 40_000 for message in received
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +204,8 @@ def test_policy_defaults_validate():
 
 @pytest.mark.parametrize("overrides,fragment", [
     ({"heartbeat_interval": 0.0}, "heartbeat_interval"),
-    ({"lease_factor": -1.0}, "lease_factor"),
-    ({"lease_floor": 0.0}, "lease_floor"),
+    ({"hang_timeout": 0.0}, "hang_timeout"),
+    ({"straggler_factor": -1.0}, "straggler_factor"),
     ({"max_attempts": 0}, "max_attempts"),
     ({"retry_jitter": -0.1}, "retry_jitter"),
     ({"retry_base_delay": 5.0, "retry_max_delay": 1.0}, "retry_max_delay"),

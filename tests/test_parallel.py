@@ -231,8 +231,15 @@ def test_cli_sigint_drains_and_resume_completes(tmp_path):
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         start_new_session=True,
     )
-    time.sleep(2.0)
-    os.killpg(proc.pid, signal.SIGINT)
+    # Signal once the first checkpoint is streamed: start-up is over.
+    journal = Path(str(store) + ".journal")
+    deadline = time.monotonic() + 120.0
+    while time.monotonic() < deadline and proc.poll() is None and not (
+        journal.exists() and b"\n" in journal.read_bytes()
+    ):
+        time.sleep(0.05)
+    if proc.poll() is None:
+        os.killpg(proc.pid, signal.SIGINT)
     proc.wait(timeout=60)
     if proc.returncode == 0:  # pragma: no cover - machine too fast
         pytest.skip("campaign finished before SIGINT landed")

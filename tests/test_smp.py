@@ -276,12 +276,16 @@ def test_smp_cells_reject_pruning_but_accept_checkpoints():
 
 
 def test_worker_start_message_carries_the_smp_golden_cycles():
-    # The scheduler's deadlines and leases are calibrated on the cycles a
-    # worker announces; on an N-core campaign those are the N-core golden
-    # run's, not the single-core one's.
+    # The start message is just ("start", wid, index); the golden cycles
+    # travel in the cell's end state.  A cores=2 worker needs the 2-core
+    # golden run and nothing else: from cold caches it records exactly
+    # one golden-run cache miss, so the single-core run is never
+    # simulated.
     import queue
     import threading
 
+    from repro import obs
+    from repro.core import campaign as campaign_module
     from repro.core.campaign import CellTask
     from repro.core.executor import WorkerSpec, worker_loop
 
@@ -292,23 +296,33 @@ def test_worker_start_message_carries_the_smp_golden_cycles():
     spec = WorkerSpec(
         config=config, core_cfg=DEFAULT_CONFIG, supervised=False,
         strict=False, watchdog=False, checkpoint_every=None,
-        telemetry_enabled=False, verify=False,
+        telemetry_enabled=True, verify=False,
     )
     inbox = queue.Queue()
     inbox.put([CellTask(0, "crc32_p", "l2", 1, 1, "key")])
     inbox.put(None)
     sent = []
-    worker = threading.Thread(target=worker_loop, args=(
-        0, spec, lambda timeout: inbox.get(timeout=timeout), sent.append,
-        lambda: False,
-    ))
-    worker.start()
-    worker.join(timeout=300)
-    starts = [message for message in sent if message[0] == "start"]
+    campaign_module._GOLDEN_CACHE.clear()
+    try:
+        worker = threading.Thread(target=worker_loop, args=(
+            0, spec, lambda timeout: inbox.get(timeout=timeout),
+            sent.append, lambda: False,
+        ))
+        worker.start()
+        worker.join(timeout=300)
+    finally:
+        obs.disable()
+    assert not worker.is_alive()
+    assert [m for m in sent if m[0] == "start"] == [("start", 0, 0)]
+    misses = sum(
+        message[3]["counters"].get("exec.lru.golden.misses", 0)
+        for message in sent if message[0] == "telemetry"
+    )
+    assert misses == 1
+    (state,) = [message[3] for message in sent if message[0] == "cell"]
     workload = get_workload("crc32_p")
-    smp_cycles = golden_run(workload, cores=2).cycles
-    assert starts == [("start", 0, 0, smp_cycles)]
-    assert smp_cycles != golden_run(workload).cycles
+    assert state.golden_cycles == golden_run(workload, cores=2).cycles
+    assert state.golden_cycles != golden_run(workload).cycles
 
 
 @pytest.mark.parametrize("backend", ["multiprocessing", "socket"])
