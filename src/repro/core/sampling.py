@@ -15,14 +15,24 @@ that to 2.4-2.88%; both numbers fall out of these formulas.
 
 from __future__ import annotations
 
+import functools
 import math
 
-from scipy.stats import norm
 
-
+@functools.cache
 def _t_value(confidence: float) -> float:
+    """Two-sided normal quantile for *confidence*, memoised per level.
+
+    SciPy is imported here, at first use, rather than at module import:
+    every CLI, worker and benchmark process imports this module through
+    :mod:`repro.core`, but only adaptive sampling and the statistics
+    helpers below ever need a quantile, and ``scipy.stats`` (with NumPy)
+    costs over a second and ~80 MiB to load.
+    """
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must be in (0, 1): {confidence}")
+    from scipy.stats import norm
+
     return float(norm.ppf(0.5 + confidence / 2))
 
 

@@ -37,7 +37,7 @@ class PhysicalMemory(Restorable):
         if paddr < 0 or paddr + length > self.size:
             raise SimAssertion(
                 f"physical access 0x{paddr:08x}+{length} outside the "
-                f"{self.size // (1024 * 1024)} MiB platform memory map"
+                f"{self.size // 1024} KiB platform memory map"
             )
 
     def read(self, paddr: int, length: int) -> bytes:

@@ -119,6 +119,19 @@ def test_interval_input_validation():
         binomial_confidence_interval(1, 4, method="jeffreys")
 
 
+def test_t_value_is_bit_equal_to_scipy_and_memoised():
+    from scipy.stats import norm
+
+    for confidence in (0.90, 0.95, 0.99, 0.999):
+        expected = float(norm.ppf(0.5 + confidence / 2))
+        first = _t_value(confidence)
+        assert first == expected  # exact, not approximate
+        # A repeated call is served from the per-level cache.
+        hits = _t_value.cache_info().hits
+        assert _t_value(confidence) is first
+        assert _t_value.cache_info().hits == hits + 1
+
+
 def test_wilson_half_width_matches_interval():
     # Away from the [0, 1] clamp, the half-width IS half the interval —
     # the stopping rule and the report can never disagree.

@@ -66,6 +66,13 @@ def test_physical_memory_bounds():
         PhysicalMemory(1000)  # not page aligned
 
 
+def test_physical_memory_map_message_names_the_size_in_kib():
+    mem = PhysicalMemory()  # the default 256 KiB platform
+    with pytest.raises(SimAssertion, match="outside the 256 KiB platform "
+                                           "memory map"):
+        mem.read(mem.size, 1)
+
+
 def test_physical_memory_line_interface():
     mem = PhysicalMemory(8192, latency=7)
     assert mem.writeback_line(64, b"\xAA" * 32) == 7
