@@ -177,6 +177,14 @@ def run_campaign_adaptive(
     """
     if ci_target < 0:
         raise ConfigError(f"ci_target must be >= 0: {ci_target}")
+    # The stopping rule's normal quantile needs SciPy: compute it before
+    # the first wave, so a missing SciPy costs no simulation.
+    try:
+        wilson_half_width(0, 1, confidence)
+    except ImportError as exc:
+        raise ConfigError(
+            f"adaptive sampling needs SciPy for its stopping rule ({exc})"
+        ) from None
     tel = obs.active()
     cells = [
         _CellState(CellTask(

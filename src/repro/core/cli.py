@@ -401,15 +401,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.adaptive:
             from repro.core.adaptive import run_campaign_adaptive
 
-            adaptive = run_campaign_adaptive(
-                config, args.ci_target,
-                jobs=args.jobs, progress=progress,
-                events=lambda message: print(message, file=sys.stderr),
-                core_cfg=core_cfg, supervisor=supervisor,
-                verify=args.verify, prune=args.prune_masked,
-                backend=args.backend, backend_options=backend_options,
-                policy=policy,
-            )
+            try:
+                adaptive = run_campaign_adaptive(
+                    config, args.ci_target,
+                    jobs=args.jobs, progress=progress,
+                    events=lambda message: print(message, file=sys.stderr),
+                    core_cfg=core_cfg, supervisor=supervisor,
+                    verify=args.verify, prune=args.prune_masked,
+                    backend=args.backend, backend_options=backend_options,
+                    policy=policy,
+                )
+            except ConfigError as exc:
+                print(f"error: --adaptive: {exc}", file=sys.stderr)
+                return 2
             result = adaptive.result
             print(
                 f"adaptive: {adaptive.spent_samples:,} of "

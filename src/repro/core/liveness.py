@@ -2,18 +2,23 @@
 
 A fault is Masked iff no flipped bit is *consumed* (read) before it is
 overwritten, evicted or invalidated — a dataflow fact provable from the
-golden run alone, the dead-data reasoning of Qureshi et al.'s "Memory
-Vulnerability: A Case for Delaying Error Reporting".  This module records,
-during one dedicated instrumented replay of the (cached) golden run,
-per-component bit-granular lifetime traces:
+golden run alone, the dead-data reasoning of Jaulmes, Moretó, Valero and
+Casas, "Memory Vulnerability: A Case for Delaying Error Reporting".  This
+module records, during one dedicated instrumented replay of the (cached)
+golden run, per-component bit-granular lifetime traces:
 
-* **caches** (``l1d``/``l1i``/``l2``): per (line, byte) timelines.  Reads
-  consume the accessed byte range, line fills from below consume the whole
-  source line and kill the whole destination line, dirty-victim writebacks
-  consume the victim line, stores kill the written range.  Flips live in
-  the data array only (tags/valid/dirty are not injectable), so the
-  hit/miss stream of a faulty run is identical to the golden one and byte
-  timelines decide everything.
+* **caches** (``l1d``/``l1i``/``l2``): per (line, byte) READ/KILL
+  timelines from the core's loads, stores and fetches, plus line-level
+  INSTALL and COPY events.  A line fill from below and a writeback from
+  above INSTALL the destination line (overwriting every byte); the source
+  of either records a COPY that names the destination line and its
+  install.  DRAM takes part as a relay (writebacks install DRAM lines,
+  fills copy them) so a flip that leaves L2 and comes back is followed
+  too.  A copy moves a flipped byte without consuming it: the byte is
+  then live in the source *and* in the destination from just after its
+  install.  Flips live in the data array only (tags/valid/dirty are not
+  injectable), so the hit/miss stream of a faulty run is identical to the
+  golden one and byte timelines decide everything.
 * **TLBs** (``itlb``/``dtlb``): per-entry timelines (hit = consume,
   refill = kill) plus each entry's birth cycle.  Decidability is
   field-sensitive — see :meth:`LivenessTrace.classify`.
@@ -21,8 +26,9 @@ per-component bit-granular lifetime traces:
   writebacks and misc writes kill the whole 32-bit word.
 
 :meth:`LivenessTrace.classify` then decides an (mask, inject-cycle) fault
-in O(log n) per flipped bit: if every bit is provably dead, the faulty run
-is bit-identical to the golden run and the sample is Masked without
+per flipped bit — O(log n) for TLBs and registers, O(log n) per copy
+followed for caches: if every bit is provably dead, the faulty run is
+bit-identical to the golden run and the sample is Masked without
 simulating anything.  The classifier is *conservative*: any bit it cannot
 prove dead falls back to full simulation, so pruned campaign results are
 byte-identical to unpruned ones — the invariant CI enforces with ``cmp``.
@@ -49,10 +55,18 @@ from repro.mem.tlb import VPN_SHIFT
 from repro.workloads.base import Workload
 
 #: Timeline event kinds.  READ = the bit was consumed (its value reached
-#: the program or a lower memory level); KILL = the bit was overwritten
-#: wholesale (refill, writeback target, store, register write).
+#: the program); KILL = the bit was overwritten wholesale (store, TLB
+#: refill, register write).
 READ = 0
 KILL = 1
+
+#: Cache events are ordered by ``cycle << _SEQ_BITS | seq``, *seq* counting
+#: recorded events: keys follow program order within a cycle as well, and
+#: every event at or after cycle C has a key of at least ``C << _SEQ_BITS``.
+_SEQ_BITS = 32
+
+#: Order key of an event that never happens.
+_NEVER = float("inf")
 
 #: TLB entry layout (see mem/tlb.py): bits [1:0] are unarchitected spares,
 #: [17:2] hold permissions + ppn (payload consumed only on translation
@@ -115,6 +129,102 @@ class _Timeline:
         return sum(len(kinds) for kinds in self.kinds.values())
 
 
+class _Level:
+    """Lifetime events of one storage level: a cache, or DRAM.
+
+    *Byte* timelines (caches only), keyed ``line * line_size + byte``,
+    hold the core's READ/KILL accesses, run-compressed like
+    :class:`_Timeline` but never across a line event, so the kept (last)
+    key of a run orders it correctly against the line's events.  *Line*
+    timelines, keyed by line index (DRAM: line address), hold the
+    whole-line events as parallel lists of order keys and destinations:
+    ``None`` for an INSTALL (a fill or a writeback from above overwrote
+    the line), ``(level, line, install key)`` for a COPY (the line's data
+    went to that line of another level).
+    """
+
+    __slots__ = (
+        "line_size", "byte_keys", "byte_kinds", "line_keys", "line_dests",
+    )
+
+    def __init__(self, line_size: int) -> None:
+        self.line_size = line_size
+        self.byte_keys: dict[int, list[int]] = {}
+        self.byte_kinds: dict[int, bytearray] = {}
+        self.line_keys: dict[int, list[int]] = {}
+        self.line_dests: dict[int, list] = {}
+
+    def record_bytes(
+        self, line: int, lo: int, hi: int, key: int, kind: int
+    ) -> None:
+        line_keys = self.line_keys.get(line)
+        sealed = line_keys[-1] if line_keys else -1
+        byte_keys = self.byte_keys
+        byte_kinds = self.byte_kinds
+        base = line * self.line_size
+        for cell in range(base + lo, base + hi):
+            kinds = byte_kinds.get(cell)
+            if kinds is None:
+                byte_keys[cell] = [key]
+                byte_kinds[cell] = bytearray((kind,))
+            elif kinds[-1] == kind and byte_keys[cell][-1] > sealed:
+                byte_keys[cell][-1] = key
+            else:
+                byte_keys[cell].append(key)
+                kinds.append(kind)
+
+    def record_line(self, line: int, key: int, dest) -> tuple[list, int]:
+        """Append a line event; returns where its destination is kept."""
+        keys = self.line_keys.get(line)
+        if keys is None:
+            keys = self.line_keys[line] = []
+            dests = self.line_dests[line] = []
+        else:
+            dests = self.line_dests[line]
+        keys.append(key)
+        dests.append(dest)
+        return dests, len(dests) - 1
+
+    def byte_event(self, line: int, byte: int, start: int):
+        """(key, kind) of the first byte event at or after *start*."""
+        cell = line * self.line_size + byte
+        keys = self.byte_keys.get(cell)
+        if keys is not None:
+            index = bisect_left(keys, start)
+            if index < len(keys):
+                return keys[index], self.byte_kinds[cell][index]
+        return _NEVER, None
+
+    def event_count(self) -> int:
+        return sum(len(kinds) for kinds in self.byte_kinds.values()) + sum(
+            len(keys) for keys in self.line_keys.values()
+        )
+
+
+def _byte_dead(level: _Level, line: int, byte: int, start: int) -> bool:
+    """True iff *byte* of *line*, flipped just before order key *start*, is
+    never read in *level* nor in any copy made of it."""
+    walks = [(level, line, start)]
+    while walks:
+        level, line, start = walks.pop()
+        until, kind = level.byte_event(line, byte, start)
+        keys = level.line_keys.get(line)
+        if keys:
+            dests = level.line_dests[line]
+            for index in range(bisect_left(keys, start), len(keys)):
+                if keys[index] > until:
+                    break
+                dest = dests[index]
+                if dest is None:  # INSTALL: the whole line is overwritten
+                    kind = KILL
+                    break
+                target, target_line, installed = dest
+                walks.append((target, target_line, installed + 1))
+        if kind == READ:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class _Geometry:
     """Injection geometry stand-in: lets the mask generator draw against a
@@ -132,9 +242,9 @@ class LivenessTrace:
     def __init__(self, workload_name: str, golden_cycles: int) -> None:
         self.workload = workload_name
         self.golden_cycles = golden_cycles
+        self.levels: dict[str, _Level] = {}
         self.timelines: dict[str, _Timeline] = {}
         self.geometry: dict[str, _Geometry] = {}
-        self.line_size: dict[str, int] = {}
         self.live_bits: dict[str, int] = {}
 
     def target_geometry(self, component: str) -> _Geometry:
@@ -148,11 +258,12 @@ class LivenessTrace:
         to unpruned ones.
         """
         component = mask.component
+        level = self.levels.get(component)
+        if level is not None:
+            return self._classify_cache(level, mask, inject_cycle)
         timeline = self.timelines.get(component)
         if timeline is None:  # unknown component: never prune
             return False
-        if component in ("l1d", "l1i", "l2"):
-            return self._classify_cache(timeline, component, mask, inject_cycle)
         if component in ("itlb", "dtlb"):
             return self._classify_tlb(timeline, mask, inject_cycle)
         if component == "regfile":
@@ -160,16 +271,14 @@ class LivenessTrace:
         return False
 
     def _classify_cache(
-        self, timeline: _Timeline, component: str,
-        mask: FaultMask, inject_cycle: int,
+        self, level: _Level, mask: FaultMask, inject_cycle: int
     ) -> bool:
         # Byte granularity: flips never touch tags/valid/dirty, so the
-        # hit/miss stream is unchanged and a byte is dead unless its next
-        # event is a read.
-        line_size = self.line_size[component]
+        # hit/miss stream is unchanged and a byte is dead unless it, or a
+        # copy of it, is read before being overwritten.
+        start = inject_cycle << _SEQ_BITS
         for row, col in mask.bits:
-            kind = timeline.verdict(row * line_size + (col >> 3), inject_cycle)
-            if kind == READ:
+            if not _byte_dead(level, row, col >> 3, start):
                 return False
         return True
 
@@ -207,9 +316,10 @@ class LivenessTrace:
 
     def stats(self) -> dict[str, int]:
         """Recorded (compressed) event counts per component."""
+        recorded = {**self.levels, **self.timelines}
         return {
-            name: timeline.event_count()
-            for name, timeline in sorted(self.timelines.items())
+            name: events.event_count()
+            for name, events in sorted(recorded.items())
         }
 
 
@@ -219,36 +329,82 @@ class LivenessTrace:
 # ---------------------------------------------------------------------------
 
 
-def _hook_cache(cache, core, timeline: _Timeline) -> None:
-    line_size = cache.line_size
-    assoc = cache.assoc
+class _CacheTracer:
+    """State the cache and DRAM hooks share: the order-key clock, and the
+    line events of a copy still waiting for its destination's install."""
 
-    def record(idx: int, lo: int, hi: int, kind: int) -> None:
-        cycle = core.cycle
-        base = idx * line_size
-        for byte in range(lo, hi):
-            timeline.record(base + byte, cycle, kind)
+    def __init__(self, core) -> None:
+        self.core = core
+        self.seq = 0
+        self.fetched: tuple[list, int] | None = None
+        self.installed: tuple[_Level, int, int] | None = None
+
+    def key(self) -> int:
+        self.seq += 1
+        return self.core.cycle << _SEQ_BITS | self.seq
+
+    def copy_up(self, level: _Level, line: int) -> None:
+        """*line* feeds a fill above; that fill's install resolves it."""
+        self.fetched = level.record_line(line, self.key(), None)
+
+    def install_fill(self, level: _Level, line: int) -> None:
+        key = self.key()
+        level.record_line(line, key, None)
+        dests, index = self.fetched
+        dests[index] = (level, line, key)
+        self.fetched = None
+
+    def install_writeback(self, level: _Level, line: int) -> None:
+        key = self.key()
+        level.record_line(line, key, None)
+        self.installed = (level, line, key)
+
+    def copy_down(self, level: _Level, line: int) -> None:
+        """*line* was just written back; the install below is its copy."""
+        level.record_line(line, self.key(), self.installed)
+
+
+def _hook_cache(cache, level: _Level, tracer: _CacheTracer) -> None:
+    probe = cache.probe
+    lru = cache._lru
+    assoc = cache.assoc
+    set_shift = cache._set_shift
+    set_mask = cache._set_mask
+    offset_mask = cache._offset_mask
+    record_bytes = level.record_bytes
+    key = tracer.key
+
+    def access(paddr: int, length: int, kind: int) -> None:
+        # Every access leaves its line most recently used in its set.
+        set_idx = (paddr >> set_shift) & set_mask
+        idx = set_idx * assoc + lru[set_idx][-1]
+        offset = paddr & offset_mask
+        record_bytes(idx, offset, offset + length, key(), kind)
 
     orig_fill = cache._fill
 
     def fill(set_idx, tag, line_addr):
-        # Victim identity and dirtiness must be read before the overwrite.
-        victim = set_idx * assoc + cache._lru[set_idx][0]
-        writeback = cache._valid[victim] and cache._dirty[victim]
-        if writeback:
-            record(victim, 0, line_size, READ)  # data escapes to below
         idx, latency = orig_fill(set_idx, tag, line_addr)
-        record(idx, 0, line_size, KILL)  # whole line overwritten
+        tracer.install_fill(level, idx)
         return idx, latency
 
     cache._fill = fill
+
+    orig_writeback_below = cache._writeback_below
+
+    def writeback_below(line_addr, payload):
+        idx, _ = probe(line_addr)  # the victim is still valid here
+        latency = orig_writeback_below(line_addr, payload)
+        tracer.copy_down(level, idx)
+        return latency
+
+    cache._writeback_below = writeback_below
 
     orig_read = cache.read
 
     def read(paddr, length):
         data, latency = orig_read(paddr, length)
-        idx, offset = cache.probe(paddr)
-        record(idx, offset, offset + length, READ)
+        access(paddr, length, READ)
         return data, latency
 
     cache.read = read
@@ -257,8 +413,7 @@ def _hook_cache(cache, core, timeline: _Timeline) -> None:
 
     def read_word(paddr):
         value, latency = orig_read_word(paddr)
-        idx, offset = cache.probe(paddr)
-        record(idx, offset, offset + 4, READ)
+        access(paddr, 4, READ)
         return value, latency
 
     cache.read_word = read_word
@@ -267,8 +422,7 @@ def _hook_cache(cache, core, timeline: _Timeline) -> None:
 
     def write(paddr, payload):
         latency = orig_write(paddr, payload)
-        idx, offset = cache.probe(paddr)
-        record(idx, offset, offset + len(payload), KILL)
+        access(paddr, len(payload), KILL)
         return latency
 
     cache.write = write
@@ -277,8 +431,7 @@ def _hook_cache(cache, core, timeline: _Timeline) -> None:
 
     def read_line(line_addr):
         data, latency = orig_read_line(line_addr)
-        idx, _ = cache.probe(line_addr)
-        record(idx, 0, line_size, READ)
+        tracer.copy_up(level, probe(line_addr)[0])
         return data, latency
 
     cache.read_line = read_line
@@ -287,11 +440,30 @@ def _hook_cache(cache, core, timeline: _Timeline) -> None:
 
     def write_line(line_addr, payload):
         latency = orig_write_line(line_addr, payload)
-        idx, _ = cache.probe(line_addr)
-        record(idx, 0, line_size, KILL)
+        tracer.install_writeback(level, probe(line_addr)[0])
         return latency
 
     cache.write_line = write_line
+
+
+def _hook_dram(mem, level: _Level, tracer: _CacheTracer) -> None:
+    orig_fetch_line = mem.fetch_line
+
+    def fetch_line(line_addr, line_size):
+        data, latency = orig_fetch_line(line_addr, line_size)
+        tracer.copy_up(level, line_addr)
+        return data, latency
+
+    mem.fetch_line = fetch_line
+
+    orig_writeback_line = mem.writeback_line
+
+    def writeback_line(line_addr, payload):
+        latency = orig_writeback_line(line_addr, payload)
+        tracer.install_writeback(level, line_addr)
+        return latency
+
+    mem.writeback_line = writeback_line
 
 
 def _hook_tlb(tlb, core, timeline: _Timeline) -> None:
@@ -363,16 +535,19 @@ def build_liveness_trace(
     system.load(workload.program())
     trace = LivenessTrace(workload.name, golden.cycles)
     core = system.core
+    tracer = _CacheTracer(core)
+    # Every level moves whole lines of one size, so a byte keeps its
+    # offset through each copy.
+    _hook_dram(system.mem, _Level(platform.line_size), tracer)
     for name, cache in (
         ("l1d", system.l1d), ("l1i", system.l1i), ("l2", system.l2),
     ):
-        timeline = _Timeline()
-        trace.timelines[name] = timeline
+        level = _Level(cache.line_size)
+        trace.levels[name] = level
         trace.geometry[name] = _Geometry(
             cache.inject_name, cache.inject_rows, cache.inject_cols
         )
-        trace.line_size[name] = cache.line_size
-        _hook_cache(cache, core, timeline)
+        _hook_cache(cache, level, tracer)
     for name, tlb in (("itlb", system.itlb), ("dtlb", system.dtlb)):
         timeline = _Timeline()
         trace.timelines[name] = timeline
@@ -397,6 +572,11 @@ def build_liveness_trace(
             f"liveness instrumentation perturbed the golden run of "
             f"{workload.name}: {result.status}/{result.cycles} cycles vs "
             f"{golden.status}/{golden.cycles}"
+        )
+    if tracer.fetched is not None:
+        raise ConfigError(
+            f"liveness trace of {workload.name} ended with a line copy "
+            "that no fill installed"
         )
     trace.live_bits = snapshot_bits(system)
     return trace

@@ -8,10 +8,13 @@ so any ``jobs`` value produces identical bytes.
 """
 
 import hashlib
+import sys
 
 import pytest
 
 from repro import obs
+from repro.core import adaptive as adaptive_module
+from repro.core import cli, sampling
 from repro.core import supervisor as supervisor_module
 from repro.core.adaptive import (
     ADAPTIVE_BATCH,
@@ -107,6 +110,32 @@ def test_progress_fires_once_per_cell_in_canonical_order():
 def test_negative_ci_target_rejected():
     with pytest.raises(ConfigError):
         run_campaign_adaptive(_config(), ci_target=-0.1)
+
+
+def test_adaptive_without_scipy_fails_before_the_first_wave(
+    monkeypatch, capsys
+):
+    # An interpreter without SciPy: the import fails, and the memoised
+    # quantile must not hide that.
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.stats", None)
+    sampling._t_value.cache_clear()
+
+    def no_wave(*args, **kwargs):
+        raise AssertionError("a wave ran before the SciPy check")
+
+    monkeypatch.setattr(adaptive_module, "run_wave", no_wave)
+    try:
+        status = cli.main([
+            "run", "--adaptive", "--ci-target", "0.1",
+            "--workloads", "crc32", "--components", "regfile",
+            "--cardinalities", "1", "--samples", "4",
+        ])
+    finally:
+        sampling._t_value.cache_clear()
+    assert status == 2
+    err = capsys.readouterr().err
+    assert "--adaptive" in err and "SciPy" in err
 
 
 # -- pinned bytes -------------------------------------------------------------

@@ -20,7 +20,9 @@ from repro.core.campaign import (
     run_cell,
     run_one_injection,
 )
-from repro.core.classify import FaultClass
+from repro.core.classify import FaultClass, classify
+from repro.core.faults import FaultMask
+from repro.core.injector import inject
 from repro.core.generator import CLUSTERED, ClusterShape, MultiBitFaultGenerator
 from repro.core.liveness import (
     KILL,
@@ -32,6 +34,8 @@ from repro.core.liveness import (
 from repro.errors import VerificationError
 from repro.cpu.config import DEFAULT_CONFIG
 from repro.cpu.system import System
+from repro.isa.assembler import assemble
+from repro.mem.paging import PAGE_SHIFT, PAGE_SIZE
 from repro.verify.fuzz import ProgramFuzzer
 from repro.workloads import get_workload
 from repro.workloads.base import Workload
@@ -136,22 +140,18 @@ def test_pruned_cell_equals_unpruned(component):
 # -- pruned == full, fuzzed programs ------------------------------------------
 
 
-class _FuzzWorkload(Workload):
-    """A fuzzer-generated program wrapped as an injectable workload."""
+class _ProgramWorkload(Workload):
+    """A ready-made program wrapped as an injectable workload."""
 
-    def __init__(self, seed: str) -> None:
-        program = ProgramFuzzer(seed, length=30).program()
+    def __init__(self, name: str, program) -> None:
         system = System(DEFAULT_CONFIG)
         system.load(program)
         result = system.run(max_cycles=1_000_000)
         super().__init__(
-            name=f"fuzz:{seed}", paper_name="fuzz", paper_cycles=0,
-            description="fuzzed", source="", expected_output=result.output,
+            name=name, paper_name=name, paper_cycles=0,
+            description=name, source="", expected_output=result.output,
+            _program=program,
         )
-        self._fuzz_program = program
-
-    def program(self):
-        return self._fuzz_program
 
 
 def _verdict_stream(workload, component, samples, liveness):
@@ -173,12 +173,171 @@ def _verdict_stream(workload, component, samples, liveness):
 
 @pytest.mark.parametrize("fuzz_seed", ["live0", "live1"])
 def test_pruned_equals_full_on_fuzzed_programs(fuzz_seed):
-    workload = _FuzzWorkload(fuzz_seed)
+    workload = _ProgramWorkload(
+        f"fuzz:{fuzz_seed}", ProgramFuzzer(fuzz_seed, length=30).program()
+    )
     liveness = build_liveness_trace(workload)
-    for component in ("regfile", "l1d", "dtlb"):
+    for component in ("regfile", "l1d", "l1i", "l2", "dtlb"):
         plain = _verdict_stream(workload, component, 6, None)
         pruned = _verdict_stream(workload, component, 6, liveness)
         assert pruned == plain, f"{component} diverged on fuzz:{fuzz_seed}"
+
+
+# -- copies through the hierarchy ---------------------------------------------
+#
+# Directed programs around one data word, ``slot``.  A sweep loads one word
+# of every line of a region: 512 bytes evict everything from the 256-byte
+# L1D, 4 KiB everything from the 2 KiB L2.  The NOP sleds keep the
+# out-of-order core from reaching past a sweep before it retires.
+
+_SLED = "\n".join(["    NOP"] * 40)
+
+
+def _sweep(label: str, nbytes: int) -> str:
+    return f"""
+    LA   r3, sweep
+    MOVI r5, #0
+    MOVI r6, #{nbytes // 32}
+{label}:
+    LDR  r4, [r3]
+    ADDI r3, r3, #32
+    ADDI r5, r5, #1
+    BLT  r5, r6, {label}
+{_SLED}
+"""
+
+
+_DATA = """
+.data
+slot:  .word 100
+       .space 28
+sweep: .space 4096
+"""
+
+#: Store to slot, then push its dirty line out of the L1D; print 7.
+WRITTEN_BACK_UNREAD = f"""
+_start:
+    LA   r1, slot
+    MOVI r2, #5
+    STR  r2, [r1]
+{_SLED}
+{_sweep("s1", 512)}
+    MOVI r0, #7
+    SYS  #3
+    SYS  #0
+{_DATA}"""
+
+#: Load slot, evict it (clean) from the L1D, then load and print it again.
+REFILLED_FROM_L2 = f"""
+_start:
+    LA   r1, slot
+    LDR  r2, [r1]
+{_SLED}
+{_sweep("s1", 512)}
+    LDR  r4, [r1]
+    MOV  r0, r4
+    SYS  #3
+    SYS  #0
+{_DATA}"""
+
+#: Store to slot, write its line back to the L2, then evict that dirty L2
+#: line to DRAM before loading and printing slot.
+REFILLED_FROM_DRAM = f"""
+_start:
+    LA   r1, slot
+    MOVI r2, #5
+    STR  r2, [r1]
+{_SLED}
+{_sweep("s1", 512)}
+{_sweep("s2", 4096)}
+    LDR  r4, [r1]
+    MOV  r0, r4
+    SYS  #3
+    SYS  #0
+{_DATA}"""
+
+
+def _slot_paddr(system) -> int:
+    vaddr = system.cfg.layout.data_base
+    ppn = system.page_table.lookup(vaddr >> PAGE_SHIFT)[0]
+    return ppn << PAGE_SHIFT | (vaddr & (PAGE_SIZE - 1))
+
+
+def _slot_flip(workload, component, holds):
+    """The first cycle at which *holds(system, paddr)* and a one-bit mask
+    on slot's byte 0 in *component*, plus the machine at that cycle."""
+    system = System(DEFAULT_CONFIG)
+    system.load(workload.program())
+    paddr = _slot_paddr(system)
+    while not holds(system, paddr):
+        assert not system.finished, "the scenario never arose"
+        system.step()
+    cache = system.injectable_targets()[component]
+    idx, offset = cache.probe(paddr)
+    bit = (idx, offset * 8 + 3)
+    return system.cycle, FaultMask(component, (bit,), bit, (1, 1)), system
+
+
+def _simulate(workload, mask, cycle) -> FaultClass:
+    golden = golden_run(workload)
+    system = System(DEFAULT_CONFIG)
+    system.load(workload.program())
+    system.run_until(cycle, 4 * golden.cycles)
+    inject(system, mask)
+    return classify(system.run(4 * golden.cycles), golden)
+
+
+def _dirty(cache, paddr) -> bool:
+    line = paddr - paddr % cache.line_size
+    return any(
+        addr == line and dirty for _, addr, dirty in cache.audit_lines()
+    )
+
+
+def test_dirty_l1d_line_written_back_and_never_reread_is_pruned():
+    workload = _ProgramWorkload(
+        "copy:written-back", assemble(WRITTEN_BACK_UNREAD)
+    )
+    cycle, mask, system = _slot_flip(
+        workload, "l1d", lambda system, paddr: _dirty(system.l1d, paddr)
+    )
+    paddr = _slot_paddr(system)
+    system.run(1_000_000)
+    # The flipped line left the L1D as a dirty writeback into the L2.
+    assert system.l1d.probe(paddr) is None
+    assert _dirty(system.l2, paddr)
+    assert build_liveness_trace(workload).classify(mask, cycle)
+    assert _simulate(workload, mask, cycle) is FaultClass.MASKED
+
+
+def test_l2_flip_filled_into_l1d_and_loaded_is_undecided():
+    workload = _ProgramWorkload("copy:l2-refill", assemble(REFILLED_FROM_L2))
+    cycle, mask, _ = _slot_flip(
+        workload, "l2",
+        lambda system, paddr: system.l1d.probe(paddr) is None
+        and system.l2.probe(paddr) is not None
+        and system.core.stats.loads > 1,
+    )
+    assert not build_liveness_trace(workload).classify(mask, cycle)
+    assert _simulate(workload, mask, cycle) is FaultClass.SDC
+
+
+def test_l2_flip_refilled_from_dram_and_read_is_undecided():
+    workload = _ProgramWorkload(
+        "copy:dram-refill", assemble(REFILLED_FROM_DRAM)
+    )
+    cycle, mask, system = _slot_flip(
+        workload, "l2",
+        lambda system, paddr: system.l1d.probe(paddr) is None
+        and _dirty(system.l2, paddr),
+    )
+    paddr = _slot_paddr(system)
+    while system.l2.probe(paddr) is not None:
+        system.step()
+    # The flipped line left the L2 for DRAM before slot is loaded again.
+    assert system.l1d.probe(paddr) is None
+    assert not build_liveness_trace(workload).classify(mask, cycle)
+    assert _simulate(workload, mask, cycle) is FaultClass.SDC
 
 
 # -- the --verify audit backstop ----------------------------------------------
