@@ -860,7 +860,7 @@ def run_cell(
     plan = InjectionPlan.build(
         workload, core_cfg, cores=config.cores, checkpoints=True,
         prune=prune, verify=verify,
-        watchdog=supervisor is not None and supervisor.watchdog,
+        watchdog=supervisor is not None,
     )
     cell_seed = f"{config.seed}:{workload_name}:{component}:{cardinality}"
     generator = MultiBitFaultGenerator(
@@ -1037,8 +1037,6 @@ class SupervisorLike:
     stub only documents the contract and keeps campaign.py import-free of
     the supervisor layer.
     """
-
-    watchdog: bool = True
 
     def run_injection(self, *args, **kwargs) -> FaultClass | None:
         raise NotImplementedError  # pragma: no cover

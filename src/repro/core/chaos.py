@@ -439,6 +439,20 @@ def _run_with_restarts(
                 raise
 
 
+def chaos_policy():
+    """The harness's resilience policy: tight timeouts, because chaos
+    campaigns are small and the stall scenario should be detected in
+    seconds, not minutes."""
+    from repro.core.executor import ResiliencePolicy
+
+    return ResiliencePolicy(
+        heartbeat_interval=0.1,
+        hang_timeout=2.0,
+        retry_base_delay=0.05,
+        retry_max_delay=0.5,
+    )
+
+
 def run_chaos(
     config,
     *,
@@ -453,6 +467,8 @@ def run_chaos(
 ) -> ChaosReport:
     """Run the chaos matrix and verify the byte-identity guarantee.
 
+    *policy* defaults to :func:`chaos_policy`.
+
     For every scenario: run *config* under injected faults, then compare
     the result JSON and the compacted store byte-for-byte against a
     serial reference.  The ``poison`` scenario instead asserts the
@@ -463,7 +479,6 @@ def run_chaos(
     from repro.core.campaign import (
         CampaignStore, run_campaign,
     )
-    from repro.core.executor import ResiliencePolicy
     from repro.core.supervisor import IncidentJournal, Supervisor
     from repro.cpu.config import DEFAULT_CONFIG
 
@@ -477,18 +492,7 @@ def run_chaos(
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     if policy is None:
-        # Tight timeouts: chaos campaigns are small, and the stall
-        # scenario should be detected in seconds, not minutes.
-        # Speculation is off so a stalled worker is *detected* (kill →
-        # reschedule) rather than quietly out-raced by a speculative
-        # re-execution — the harness must exercise the recovery path.
-        policy = ResiliencePolicy(
-            heartbeat_interval=0.1,
-            hang_timeout=2.0,
-            retry_base_delay=0.05,
-            retry_max_delay=0.5,
-            speculate=False,
-        )
+        policy = chaos_policy()
 
     # Serial reference: the bytes every scenario must reproduce.
     ref_store_path = workdir / "reference-store.json"

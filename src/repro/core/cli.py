@@ -22,6 +22,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import signal
 import sys
@@ -38,7 +39,7 @@ from repro.core.campaign import (
     golden_run,
     run_campaign,
 )
-from repro.core.chaos import NET_SCENARIOS, SCENARIOS
+from repro.core.chaos import NET_SCENARIOS, SCENARIOS, chaos_policy, run_chaos
 from repro.core.executor import ALL_BACKEND_NAMES, ResiliencePolicy
 from repro.core.generator import CLUSTERED, INDEPENDENT, ClusterShape
 from repro.core.supervisor import IncidentJournal, Supervisor
@@ -672,8 +673,6 @@ def _cmd_golden(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.core.chaos import run_chaos
-
     config = CampaignConfig(
         workloads=tuple(args.workloads) if args.workloads else ("crc32",),
         components=tuple(args.components),
@@ -681,17 +680,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         samples=args.samples,
         seed=args.seed,
     )
-    # The harness's tight timings (speculation off so stalls exercise the
-    # stall detector), with any CLI overrides applied on top.
-    knobs = dict(
-        heartbeat_interval=0.1, hang_timeout=2.0,
-        retry_base_delay=0.05, retry_max_delay=0.5, speculate=False,
-    )
+    # The harness's tight timings, with any CLI overrides applied on top.
+    policy = chaos_policy()
     if args.hang_timeout is not None:
-        knobs["hang_timeout"] = args.hang_timeout
+        policy = dataclasses.replace(policy, hang_timeout=args.hang_timeout)
     if args.max_attempts is not None:
-        knobs["max_attempts"] = args.max_attempts
-    policy = ResiliencePolicy(**knobs)
+        policy = dataclasses.replace(policy, max_attempts=args.max_attempts)
     try:
         policy.validate()
     except ConfigError as exc:

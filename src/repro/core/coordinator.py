@@ -19,8 +19,8 @@ worker → parent   ``("join", {"pid", "host", "epoch"})``
 parent → worker   ``("welcome", worker_id, epoch, WorkerSpec)`` or
                   ``("reject", reason)``
 parent → worker   ``("task", batch|None)`` · ``("stop",)``
-worker → parent   the :func:`worker_loop` stream (ready/start/progress/
-                  partial/cell/telemetry/incident/fatal/stopped/bye)
+worker → parent   the :func:`worker_loop` stream (ready/progress/partial/
+                  cell/telemetry/incident/fatal/stopped/bye)
 
 Failure model — every path maps onto machinery the scheduler already
 has:
@@ -80,6 +80,10 @@ from repro.core.wire import (
 
 #: How long a connecting worker gets to present its join frame.
 _HANDSHAKE_TIMEOUT = 10.0
+
+#: How long a replacement spawn waits for a worker to join while live
+#: workers remain (never longer than the accept timeout).
+_REPLACEMENT_TIMEOUT = 5.0
 
 #: The deliberately-bogus epoch the chaos harness claims on a stale
 #: rejoin.  :func:`_fresh_epoch` never returns it.
@@ -186,7 +190,7 @@ class SocketBackend(ExecutorBackend):
     * **listen** (``autospawn=False``) — ``spawn()`` adopts the next
       externally-connected worker (the ``--listen HOST:PORT`` flow).
       Initial spawns wait up to *accept_timeout* for the fleet to
-      arrive; replacement spawns wait only *replacement_timeout* while
+      arrive; replacement spawns wait only ``_REPLACEMENT_TIMEOUT`` while
       live workers remain, so losing one host of many stalls the
       scheduler briefly instead of for the full accept window before it
       degrades to the survivors.
@@ -206,12 +210,10 @@ class SocketBackend(ExecutorBackend):
         port: int = 0,
         autospawn: bool = True,
         accept_timeout: float = 30.0,
-        replacement_timeout: float = 5.0,
     ) -> None:
         self.spec = spec
         self.autospawn = autospawn
         self.accept_timeout = accept_timeout
-        self.replacement_timeout = min(accept_timeout, replacement_timeout)
         self.epoch = _fresh_epoch()
         self.inbox: queue_module.Queue = queue_module.Queue()
         self._joined: queue_module.Queue = queue_module.Queue()
@@ -284,7 +286,7 @@ class SocketBackend(ExecutorBackend):
 
     def _spawn_timeout(self) -> float:
         if any(handle.alive() for handle in self._handles):
-            return self.replacement_timeout
+            return min(self.accept_timeout, _REPLACEMENT_TIMEOUT)
         return self.accept_timeout
 
     def spawn(self) -> _SocketHandle:

@@ -24,8 +24,7 @@ the messages it exchanges, not by how its process was made:
 parent → worker   ``batch`` (list of
                   :class:`~repro.core.campaign.CellTask`), ``None``
                   (shutdown), soft-cancel (per-worker stop flag)
-worker → parent   ``("ready", wid)`` · ``("start", wid, index)`` ·
-                  ``("progress", wid, cpu_s)`` ·
+worker → parent   ``("ready", wid)`` · ``("progress", wid, cpu_s)`` ·
                   ``("partial", wid, index, key, checkpoint)`` ·
                   ``("cell", wid, index, end_state)`` ·
                   ``("telemetry", wid, index|None, delta, events)`` ·
@@ -39,8 +38,8 @@ advances whenever the worker computes — golden, checkpoint and liveness
 builds, oracle runs, injections alike — and stays flat while it sleeps,
 blocks or is partitioned away, so the scheduler's one failure rule
 ("no CPU progress for ``hang_timeout`` with cells in flight") needs no
-simulator hook.  The :class:`ResiliencePolicy` dataclass holds every
-tunable of the resilience protocol layered on top (see DESIGN.md §10).
+simulator hook.  The :class:`ResiliencePolicy` dataclass holds the
+tunables of the resilience protocol layered on top (see DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -70,9 +69,13 @@ from repro.cpu.config import CoreConfig
 from repro.errors import CampaignInterrupted, InjectionIncident
 
 
+#: Fraction of a retry's backoff added as deterministic jitter (at most).
+RETRY_JITTER = 0.25
+
+
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """Every tunable of the executor fabric's failure handling.
+    """The tunables of the executor fabric's failure handling.
 
     Failure detection is one rule (DESIGN.md §12.4): a worker with
     in-flight cells whose reported CPU progress has not advanced for
@@ -80,8 +83,7 @@ class ResiliencePolicy:
     their last acked checkpoint and the worker is killed (a socket
     worker's connection severed) and replaced within the restart budget.
     Workers report every ``heartbeat_interval``.  A slow worker that is
-    still progressing is never accused; at most speculation
-    (``straggler_factor`` × the mean cell wall time) races it.
+    still progressing is never accused: it keeps its cells.
     """
 
     heartbeat_interval: float = 0.5
@@ -89,11 +91,6 @@ class ResiliencePolicy:
     max_attempts: int = 3
     retry_base_delay: float = 0.25
     retry_max_delay: float = 30.0
-    retry_jitter: float = 0.25
-    straggler_factor: float = 3.0
-    speculate: bool = True
-    restarts_per_worker: int = 2
-    degrade_to_serial: bool = True
 
     def validate(self) -> None:
         """Reject self-contradictory knob combinations loudly.
@@ -109,23 +106,13 @@ class ResiliencePolicy:
             "hang_timeout": self.hang_timeout,
             "retry_base_delay": self.retry_base_delay,
             "retry_max_delay": self.retry_max_delay,
-            "straggler_factor": self.straggler_factor,
         }
         for name, value in positive.items():
             if value <= 0:
                 raise ConfigError(f"{name} must be > 0 (got {value})")
-        if self.retry_jitter < 0:
-            raise ConfigError(
-                f"retry_jitter must be >= 0 (got {self.retry_jitter})"
-            )
         if self.max_attempts < 1:
             raise ConfigError(
                 f"max_attempts must be >= 1 (got {self.max_attempts})"
-            )
-        if self.restarts_per_worker < 0:
-            raise ConfigError(
-                f"restarts_per_worker must be >= 0 "
-                f"(got {self.restarts_per_worker})"
             )
         if self.retry_max_delay < self.retry_base_delay:
             raise ConfigError(
@@ -151,7 +138,7 @@ class ResiliencePolicy:
             self.retry_base_delay * (2 ** max(0, attempt - 1)),
         )
         digest = hashlib.sha256(f"{cell_key}:{attempt}".encode()).digest()
-        return base * (1.0 + self.retry_jitter * digest[0] / 255.0)
+        return base * (1.0 + RETRY_JITTER * digest[0] / 255.0)
 
 
 @dataclass(frozen=True)
@@ -162,7 +149,6 @@ class WorkerSpec:
     core_cfg: CoreConfig
     supervised: bool
     strict: bool
-    watchdog: bool
     checkpoint_every: int | None
     telemetry_enabled: bool
     verify: bool
@@ -339,7 +325,6 @@ def _serve_batches(
             journal=_SendJournal(send, worker_id),
             max_incidents=None,  # the parent enforces the global budget
             strict=spec.strict,
-            watchdog=spec.watchdog,
         )
     send(("ready", worker_id))
     while True:
@@ -364,7 +349,6 @@ def _serve_batches(
                     shipper.ship()
                     send(("stopped", worker_id))
                     return
-                send(("start", worker_id, task.index))
                 try:
                     state = run_task(
                         task, spec.config, spec.core_cfg,

@@ -37,9 +37,10 @@ Architecture (one parent, N workers behind a pluggable backend):
   stalled — its cells are reclaimed from their last streamed
   checkpoint, a ``worker-hang`` incident is journalled, and the worker
   is killed (a socket worker's connection severed) and replaced within
-  the restart budget.  A late duplicate result from the old owner is
-  suppressed by the first-canonical-result-wins rule.  See DESIGN.md
-  §12.4.
+  the restart budget.  A slow worker that keeps making progress keeps
+  its cells.  A late duplicate result from the old owner is suppressed
+  by the first-canonical-result-wins rule (cells are deterministic, so
+  every copy carries the same bytes).  See DESIGN.md §12.4.
 * **Bounded retry with backoff.**  Every reschedule (crash, stall, lost
   result) is journalled as a structured ``retry`` incident — attempt
   number, backoff delay, cause — and re-dispatched after an exponential
@@ -48,11 +49,6 @@ Architecture (one parent, N workers behind a pluggable backend):
   incident: its last streamed checkpoint becomes its (short) result, the
   missing samples count as lost, and the campaign survives — aborting
   only under ``--strict``/``--max-incidents``.
-* **Straggler speculation.**  When workers idle and one in-flight cell
-  exceeds a multiple of the observed mean cell time, an idle worker
-  re-executes it from the same checkpoint; the first completion wins and
-  duplicates are discarded before the merge (cells are deterministic, so
-  either copy carries the same bytes).
 * **Graceful degradation.**  Worker deaths beyond the restart budget stop
   the respawning: the pool shrinks, and when it reaches zero the parent
   finishes the remaining (non-quarantined) cells serially in-process —
@@ -93,7 +89,7 @@ from repro.core.campaign import (
     run_tasks,
 )
 from repro.core.avf import ClassCounts
-from repro.core.chaos import ChaosEvent, ChaosSpec
+from repro.core.chaos import ChaosSpec
 from repro.core.executor import (
     ExecutorBackend,
     ResiliencePolicy,
@@ -102,11 +98,7 @@ from repro.core.executor import (
     create_backend,
 )
 from repro.cpu.config import DEFAULT_CONFIG, CoreConfig
-from repro.errors import (
-    IncidentBudgetExceeded,
-    InjectionIncident,
-    WorkerCrash,
-)
+from repro.errors import IncidentBudgetExceeded, InjectionIncident
 from repro.workloads import get_workload
 
 #: How long the parent waits on the backend before running its liveness /
@@ -119,6 +111,10 @@ _POLL_INTERVAL = 0.1
 #: jitter (microseconds while the worker sleeps), far below what any
 #: computing worker adds within a hang timeout.
 _MIN_PROGRESS_CPU = 0.001
+
+#: Replacement workers the scheduler may spawn per worker it started with
+#: before it stops respawning and lets the pool shrink.
+_WORKER_RESTARTS = 2
 
 
 def _affinity_batches(tasks: list[CellTask], jobs: int) -> list[list[CellTask]]:
@@ -185,7 +181,6 @@ class _Scheduler:
 
         # Supervisor-derived knobs (duck-typed, like the serial path).
         self.strict = bool(getattr(supervisor, "strict", False))
-        self.watchdog = bool(getattr(supervisor, "watchdog", True))
         self.max_incidents = getattr(supervisor, "max_incidents", None)
         self.journal = getattr(supervisor, "journal", None)
 
@@ -203,9 +198,8 @@ class _Scheduler:
         self.retry_heap: list[tuple[float, int, list[CellTask]]] = []
         self._retry_seq = 0
         self.attempts: dict[int, int] = {}
-        self.speculated: set[int] = set()
         self.restarts = 0
-        self.max_restarts = jobs * policy.restarts_per_worker
+        self.max_restarts = jobs * _WORKER_RESTARTS
         self.degraded = False
         self.global_stop = False
 
@@ -215,8 +209,6 @@ class _Scheduler:
         self.live: dict[int, CellCheckpoint | None] = {
             task.index: task.start for task in tasks
         }
-        self.start_times: dict[int, float] = {}
-        self.cell_walls: list[float] = []
 
         # Accounting.
         self.total_incidents = 0
@@ -527,34 +519,6 @@ class _Scheduler:
         self.last_progress[worker_id] = time.monotonic()
         self.handles[worker_id].send(batch)
 
-    def _speculate(self, now: float) -> None:
-        """Re-execute the worst straggler on an idle worker."""
-        if not (self.policy.speculate and self.idle):
-            return
-        if self.batches or self.retry_heap or not self.cell_walls:
-            return
-        threshold = self.policy.straggler_factor * (
-            sum(self.cell_walls) / len(self.cell_walls)
-        )
-        candidates = [
-            (now - started, index)
-            for index, started in self.start_times.items()
-            if index in self.pending_done
-            and index not in self.speculated
-            and now - started > threshold
-        ]
-        if not candidates:
-            return
-        _, index = max(candidates)
-        worker_id = min(self.idle)
-        task = self._retry_task(index)
-        self.speculated.add(index)
-        self._assign(worker_id, [task])
-        self._counter("exec.speculative")
-        self._instant(
-            "speculate", cell=self._cell_label(index), worker=worker_id,
-        )
-
     # -- failure detection -----------------------------------------------
 
     def _reap_dead(self) -> None:
@@ -586,7 +550,6 @@ class _Scheduler:
             self.idle and self.retry_heap and self.retry_heap[0][0] <= now
         ):
             self._dispatch(self.idle.pop())
-        self._speculate(now)
 
     # -- message handling --------------------------------------------------
 
@@ -629,8 +592,6 @@ class _Scheduler:
                 if self.abort_exc is not None:
                     return
             self._dispatch(worker_id)
-        elif kind == "start":
-            self.start_times[message[2]] = time.monotonic()
         elif kind == "progress":
             cpu = message[2]
             if cpu > self.progress_cpu.get(worker_id, 0.0) + _MIN_PROGRESS_CPU:
@@ -645,10 +606,7 @@ class _Scheduler:
         elif kind == "cell":
             _, _, index, state = message
             if index not in self.pending_done:
-                return  # duplicate from a reschedule or speculation
-            started = self.start_times.pop(index, None)
-            if started is not None:
-                self.cell_walls.append(time.monotonic() - started)
+                return  # duplicate from a reschedule
             if self.store is not None:
                 task = self.tasks[index]
                 self.store.put(task.cell_key, task.result(state))
@@ -756,7 +714,7 @@ class _Scheduler:
 
         A cell keeps the delta of the completion that is merged, like its
         first "cell" message.  Deltas for cells that were already merged
-        (raced duplicates from reschedules or speculation) are counted as
+        (raced duplicates from reschedules) are counted as
         ``exec.lost_deltas`` rather than silently dropped — the
         serial/parallel ``sim.*`` equality contract only holds for
         incident-free runs, and the counter is how an operator sees why.
@@ -806,11 +764,11 @@ class _Scheduler:
         jobs = max(1, min(self.jobs, len(self.tasks)))
         batches = _affinity_batches(list(self.tasks.values()), jobs)
         self.batches = deque(batches)
-        self.max_restarts = jobs * self.policy.restarts_per_worker
+        self.max_restarts = jobs * _WORKER_RESTARTS
         spec = WorkerSpec(
             config=self.config, core_cfg=self.core_cfg,
             supervised=self.supervisor is not None, strict=self.strict,
-            watchdog=self.watchdog, checkpoint_every=self.checkpoint_every,
+            checkpoint_every=self.checkpoint_every,
             telemetry_enabled=self.parent_tel is not None,
             verify=self.verify,
             prune=self.prune,
@@ -832,14 +790,7 @@ class _Scheduler:
                 if self.abort_exc is not None:
                     break
                 if not self._alive_ids():
-                    if self.policy.degrade_to_serial and not self.global_stop:
-                        self._serial_fallback()
-                    elif self.abort_exc is None:
-                        self.abort_exc = WorkerCrash(
-                            f"all workers died ({self.restarts} restart(s) "
-                            f"used of {self.max_restarts}) and serial "
-                            f"degradation is disabled"
-                        )
+                    self._serial_fallback()
                     break
                 # Drain everything queued before judging progress: reports
                 # that piled up while the parent was busy are not silence.
@@ -892,7 +843,6 @@ def run_campaign_parallel(
     backend_options: dict | None = None,
     policy: ResiliencePolicy | None = None,
     chaos: ChaosSpec | None = None,
-    _crash_spec: dict | None = None,
 ) -> CampaignResult:
     """Run a campaign across *jobs* workers behind an executor backend.
 
@@ -907,19 +857,8 @@ def run_campaign_parallel(
     are passed to its constructor (e.g. ``{"host": ..., "port": ...,
     "autospawn": False}`` for a listening socket coordinator); *policy*
     tunes the resilience protocol; *chaos* injects deterministic faults
-    into the fabric (see
-    :mod:`repro.core.chaos`).  *_crash_spec* is the legacy test hook:
-    ``{"cell": [w, c, k], "flag": path}`` makes the first worker that
-    reaches that cell die unannounced (now sugar for a one-kill chaos
-    spec).
+    into the fabric (see :mod:`repro.core.chaos`).
     """
-    if _crash_spec is not None and chaos is None:
-        workload, component, cardinality = _crash_spec["cell"]
-        chaos = ChaosSpec(events=(ChaosEvent(
-            "kill", workload, component, cardinality, ordinal=0,
-            exit_code=_crash_spec.get("exit_code", 64),
-            flag=_crash_spec["flag"],
-        ),))
     cells = CampaignCells(config, store, core_cfg, resume, progress)
     tel = obs.active()
     if tel is not None and cells.tasks:

@@ -198,16 +198,14 @@ class Supervisor:
 
     ``max_incidents=None`` means unlimited containment; ``strict=True``
     re-raises the first incident as :class:`InjectionIncident` (after
-    journalling it).  ``watchdog=True`` asks the cells it supervises to
-    plan a step budget for every faulty run.  ``incident_count`` counts
-    this run only — a resumed campaign's journal may hold more from
-    earlier runs.
+    journalling it).  The cells it supervises plan a step budget for
+    every faulty run (the watchdog).  ``incident_count`` counts this run
+    only — a resumed campaign's journal may hold more from earlier runs.
     """
 
     journal: IncidentJournal = field(default_factory=IncidentJournal)
     max_incidents: int | None = None
     strict: bool = False
-    watchdog: bool = True
     incident_count: int = 0
 
     def run_injection(

@@ -5,7 +5,7 @@ runs on, so this module provides a second, much simpler implementation of
 the architecture to cross-check the out-of-order system against: one
 instruction at a time, in program order, straight against flat physical
 memory and the page tables — no caches, no TLBs, no renaming, no
-speculation, no pipeline.
+branch prediction, no pipeline.
 
 The two implementations deliberately share exactly two things:
 

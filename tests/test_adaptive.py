@@ -245,9 +245,7 @@ def test_quarantined_cell_is_not_granted_again(monkeypatch):
         return real(workload, component, *args, **kwargs)
 
     monkeypatch.setattr(campaign, "run_one_injection", poison)
-    policy = ResiliencePolicy(
-        retry_base_delay=0.01, retry_max_delay=0.05, restarts_per_worker=4,
-    )
+    policy = ResiliencePolicy(retry_base_delay=0.01, retry_max_delay=0.05)
     report = run_campaign_adaptive(
         _config(samples=60), ci_target=0.3, jobs=2, policy=policy,
     )

@@ -21,7 +21,7 @@ import pytest
 
 from repro import obs
 from repro.core.campaign import CampaignConfig
-from repro.core.chaos import build_spec, run_chaos
+from repro.core.chaos import ChaosEvent, ChaosSpec, build_spec, run_chaos
 from repro.core.executor import ResiliencePolicy
 from repro.core.parallel import run_campaign_parallel
 from repro.core.supervisor import IncidentJournal, Supervisor
@@ -36,14 +36,12 @@ CONFIG = CampaignConfig(
 )
 
 #: The harness default, minus sleeps: sub-second progress reports and
-#: retries so stall detection happens in test time, speculation off so
-#: stalls are detected rather than out-raced.
+#: retries so stall detection happens in test time.
 POLICY = ResiliencePolicy(
     heartbeat_interval=0.05,
     hang_timeout=1.0,
     retry_base_delay=0.02,
     retry_max_delay=0.2,
-    speculate=False,
 )
 
 
@@ -111,7 +109,6 @@ def test_chaos_net_matrix_on_socket_backend_is_byte_identical(tmp_path):
         hang_timeout=30.0,
         retry_base_delay=0.02,
         retry_max_delay=0.2,
-        speculate=False,
     )
     report = run_chaos(
         CONFIG,
@@ -158,7 +155,7 @@ def test_healthy_campaign_with_tight_hang_timeout_has_no_incidents(backend):
     result = run_campaign_parallel(
         CONFIG, jobs=2, supervisor=supervisor, backend=backend,
         policy=ResiliencePolicy(
-            heartbeat_interval=0.05, hang_timeout=0.4, speculate=False,
+            heartbeat_interval=0.05, hang_timeout=0.4,
         ),
     )
     assert supervisor.journal.incidents == []
@@ -213,10 +210,10 @@ def test_worker_death_counts_lost_telemetry_deltas(tmp_path):
         supervisor = Supervisor(journal=IncidentJournal())
         run_campaign_parallel(
             CONFIG, jobs=2, supervisor=supervisor,
-            _crash_spec={
-                "cell": ["crc32", "itlb", 1],
-                "flag": str(tmp_path / "crashed.flag"),
-            },
+            chaos=ChaosSpec(events=(ChaosEvent(
+                "kill", "crc32", "itlb", 1,
+                flag=str(tmp_path / "crashed.flag"),
+            ),)),
         )
         crash = supervisor.journal.incidents[0]
         assert crash.kind == "worker-crash"
@@ -228,40 +225,6 @@ def test_worker_death_counts_lost_telemetry_deltas(tmp_path):
         obs.disable()
 
 
-def test_interrupted_speculative_duplicate_counts_as_lost_delta(tmp_path):
-    """A speculative duplicate still running when the campaign completes
-    is soft-cancelled at shutdown; its partial cell telemetry must count
-    as lost, not be merged, so the ``sim.*`` counters stay serial's."""
-    from repro.core.campaign import run_campaign
-    from repro.core.chaos import ChaosEvent, ChaosSpec
-    from repro.obs.metrics import deterministic_counters
-
-    obs.disable()
-    telemetry = obs.enable()
-    try:
-        run_campaign(CONFIG)
-        serial = deterministic_counters(telemetry.metrics.as_dict())
-    finally:
-        obs.disable()
-    # The itlb cell stalls before its first sample, so the idle worker
-    # speculates on it as soon as the regfile cell is done.
-    spec = ChaosSpec(flag_dir=str(tmp_path), events=(ChaosEvent(
-        "stall", "crc32", "itlb", 1, ordinal=0, duration=4.0,
-    ),))
-    telemetry = obs.enable()
-    try:
-        run_campaign_parallel(
-            CONFIG, jobs=2, chaos=spec,
-            policy=ResiliencePolicy(straggler_factor=0.01),
-        )
-        snapshot = telemetry.metrics.as_dict()
-    finally:
-        obs.disable()
-    assert snapshot["counters"]["exec.speculative"] == 1
-    assert snapshot["counters"]["exec.lost_deltas"] >= 1
-    assert deterministic_counters(snapshot) == serial
-
-
 def test_retry_incidents_render_in_incidents_cli(tmp_path):
     """Satellite contract: every reschedule is a structured incident an
     operator can pull out of ``repro-campaign incidents --json``."""
@@ -271,10 +234,9 @@ def test_retry_incidents_render_in_incidents_cli(tmp_path):
     supervisor = Supervisor(journal=IncidentJournal(journal_path))
     run_campaign_parallel(
         CONFIG, jobs=2, supervisor=supervisor,
-        _crash_spec={
-            "cell": ["crc32", "regfile", 1],
-            "flag": str(tmp_path / "crashed.flag"),
-        },
+        chaos=ChaosSpec(events=(ChaosEvent(
+            "kill", "crc32", "regfile", 1, flag=str(tmp_path / "crashed.flag"),
+        ),)),
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = str(
@@ -301,10 +263,9 @@ def test_incidents_cli_filters_by_type(tmp_path):
     supervisor = Supervisor(journal=IncidentJournal(journal_path))
     run_campaign_parallel(
         CONFIG, jobs=2, supervisor=supervisor,
-        _crash_spec={
-            "cell": ["crc32", "regfile", 1],
-            "flag": str(tmp_path / "crashed.flag"),
-        },
+        chaos=ChaosSpec(events=(ChaosEvent(
+            "kill", "crc32", "regfile", 1, flag=str(tmp_path / "crashed.flag"),
+        ),)),
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = str(

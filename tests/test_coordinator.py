@@ -41,7 +41,7 @@ CONFIG = CampaignConfig(
 def _spec() -> WorkerSpec:
     return WorkerSpec(
         config=CONFIG, core_cfg=None, supervised=False, strict=False,
-        watchdog=False, checkpoint_every=None, telemetry_enabled=False,
+        checkpoint_every=None, telemetry_enabled=False,
         verify=False,
     )
 

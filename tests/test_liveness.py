@@ -171,10 +171,48 @@ def _verdict_stream(workload, component, samples, liveness):
     return stream
 
 
+#: Words the evicting sweeps walk: 3 KiB, half again the 2 KiB L2, so a
+#: pass replaces every line of both cache levels.
+_SWEEP_WORDS = 768
+
+
+def _sweep_words(label: str) -> list[str]:
+    """Load every word of ``far``, add it into r11 and store r11 back."""
+    return [
+        "        la r9, far",
+        f"        movi r2, #{_SWEEP_WORDS}",
+        f"{label}:",
+        "        ldr r10, [r9]",
+        "        add r11, r11, r10",
+        "        str r11, [r9]",
+        "        addi r9, r9, #4",
+        "        addi r2, r2, #-1",
+        f"        bnez r2, {label}",
+    ]
+
+
+def _evicting_fuzz_program(fuzz_seed):
+    """A fuzzed program between two load/store sweeps over 3 KiB.
+
+    The first sweep dirties every line of ``far``; the fuzzed body and the
+    second sweep push them out of the L1D and the L2 (dirty writebacks all
+    the way to DRAM), and the second sweep refills and reads each word into
+    r11, which the epilogue prints.  A flip in a swept line thus reaches
+    the output only through line copies.
+    """
+    lines = ProgramFuzzer(fuzz_seed, length=30).source().splitlines()
+    epilogue = len(lines) - 1 - lines[::-1].index("        mov r0, r3")
+    lines[epilogue:epilogue] = _sweep_words("sweep2")
+    body = lines.index("        la r1, buf") + 1
+    lines[body:body] = _sweep_words("sweep1")
+    lines.append(f"far:    .space {4 * _SWEEP_WORDS}")
+    return assemble("\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize("fuzz_seed", ["live0", "live1"])
 def test_pruned_equals_full_on_fuzzed_programs(fuzz_seed):
     workload = _ProgramWorkload(
-        f"fuzz:{fuzz_seed}", ProgramFuzzer(fuzz_seed, length=30).program()
+        f"fuzz:{fuzz_seed}", _evicting_fuzz_program(fuzz_seed)
     )
     liveness = build_liveness_trace(workload)
     for component in ("regfile", "l1d", "l1i", "l2", "dtlb"):

@@ -26,6 +26,7 @@ from repro.core.campaign import (
     run_campaign,
     run_cell,
 )
+from repro.core.chaos import ChaosEvent, ChaosSpec
 from repro.core.parallel import _affinity_batches, run_campaign_parallel
 from repro.core.supervisor import IncidentJournal, Supervisor
 from repro.errors import (
@@ -76,10 +77,9 @@ def test_worker_crash_is_contained_rescheduled_and_identical(
     store = CampaignStore(tmp_path / "store.json")
     result = run_campaign_parallel(
         GRID, jobs=3, store=store, supervisor=supervisor,
-        _crash_spec={
-            "cell": ["crc32", "itlb", 2],
-            "flag": str(tmp_path / "crashed.flag"),
-        },
+        chaos=ChaosSpec(events=(ChaosEvent(
+            "kill", "crc32", "itlb", 2, flag=str(tmp_path / "crashed.flag"),
+        ),)),
     )
     # The dead worker became an incident; the reschedule is journalled as
     # a bookkeeping "retry" record that never counts against the budget...
@@ -107,10 +107,10 @@ def test_worker_crash_respects_strict(tmp_path):
     with pytest.raises(InjectionIncident, match=r"\[strict\].*died"):
         run_campaign_parallel(
             GRID, jobs=2, supervisor=supervisor,
-            _crash_spec={
-                "cell": ["stringsearch", "regfile", 1],
-                "flag": str(tmp_path / "crashed.flag"),
-            },
+            chaos=ChaosSpec(events=(ChaosEvent(
+                "kill", "stringsearch", "regfile", 1,
+                flag=str(tmp_path / "crashed.flag"),
+            ),)),
         )
 
 
@@ -119,10 +119,10 @@ def test_worker_crash_respects_incident_budget(tmp_path):
     with pytest.raises(IncidentBudgetExceeded):
         run_campaign_parallel(
             GRID, jobs=2, supervisor=supervisor,
-            _crash_spec={
-                "cell": ["stringsearch", "regfile", 1],
-                "flag": str(tmp_path / "crashed.flag"),
-            },
+            chaos=ChaosSpec(events=(ChaosEvent(
+                "kill", "stringsearch", "regfile", 1,
+                flag=str(tmp_path / "crashed.flag"),
+            ),)),
         )
 
 
