@@ -96,7 +96,7 @@ def shared_campaign(progress: bool = True) -> CampaignResult:
     try:
         result = run_campaign(
             config, progress=report if progress else None, store=store,
-            supervisor=supervisor, resume=True, jobs=jobs, prune=prune,
+            supervisor=supervisor, jobs=jobs, prune=prune,
         )
     finally:
         wall = time.perf_counter() - begin

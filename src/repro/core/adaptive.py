@@ -18,12 +18,12 @@ campaign loop's stopping rule:
 A wave is a list of :class:`~repro.core.campaign.CellTask` objects, each
 advancing one cell from its previous end state to a new sample count, and
 it runs exactly like a campaign's cells do: through
-:func:`~repro.core.campaign.run_cell` — in-process at ``jobs=1``, on the
-resilient scheduler of :mod:`repro.core.parallel` otherwise, over either
-executor backend and at any core count.  A cell's end state carries its
-counts and both RNG states into its next wave, so the first *n* samples
-of a cell are identical to the first *n* samples of an exact-replay
-campaign no matter how the waves were scheduled.  Allocation decisions
+:func:`~repro.core.campaign.run_tasks`, in-process at ``jobs=1`` and on
+the resilient scheduler of :mod:`repro.core.parallel` otherwise, over
+either executor backend and at any core count.  A cell's end state
+carries its counts and both RNG states into its next wave, so the first
+*n* samples of a cell are identical to the first *n* samples of an
+exact-replay campaign no matter how the waves were scheduled.  Allocation decisions
 depend only on merged per-cell counts, never on timing or worker count,
 so ``--jobs N`` results equal serial results byte-for-byte.  With
 ``ci_target=0`` the half-width (strictly positive for any finite sample)
@@ -35,8 +35,7 @@ incidents are journalled and counted in the result.
 Adaptive cells intentionally have *no* fixed sample count, so they do not
 fit the exact-parameter cache key of :class:`~repro.core.campaign.
 CampaignStore`, whose keys include the sample count; the driver therefore
-runs storeless (the CLI rejects ``--store``/``--resume`` with
-``--adaptive``).
+runs storeless (the CLI rejects ``--store`` with ``--adaptive``).
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ from repro.core.campaign import (
     CellResult,
     CellTask,
     ProgressFn,
+    run_tasks,
 )
-from repro.core.parallel import run_wave
 from repro.core.sampling import required_additional_samples, wilson_half_width
 from repro.errors import ConfigError
 from repro import obs
@@ -197,6 +196,11 @@ def run_campaign_adaptive(
     done = 0
     lost = 0
 
+    def wave_done(task: CellTask, state: CellCheckpoint) -> None:
+        cell = cells[task.index]
+        cell.state = state
+        cell.quarantined = state.samples_done < task.samples
+
     def execute_wave(grants: list[tuple[_CellState, int]]) -> None:
         nonlocal lost
         tasks = [
@@ -206,15 +210,12 @@ def run_campaign_adaptive(
             )
             for cell, count in grants
         ]
-        states, wave_lost = run_wave(
+        lost += run_tasks(
             tasks, config, core_cfg, jobs=jobs, supervisor=supervisor,
-            verify=verify, prune=prune, backend=backend,
-            backend_options=backend_options, policy=policy,
+            done=wave_done, checkpoint_every=None, verify=verify,
+            prune=prune, backend=backend, backend_options=backend_options,
+            policy=policy,
         )
-        lost += wave_lost
-        for (cell, _), task in zip(grants, tasks):
-            cell.state = states[task.index]
-            cell.quarantined = cell.samples_done < task.samples
 
     def close(cell: _CellState) -> None:
         nonlocal done

@@ -752,6 +752,11 @@ class CellCheckpoint:
     generator_rng_state: tuple
     golden_cycles: int
 
+    @property
+    def lost(self) -> int:
+        """Samples drawn but not counted: lost to contained incidents."""
+        return self.samples_done - self.counts.total
+
     def as_dict(self) -> dict:
         return {
             "samples_done": self.samples_done,
@@ -949,26 +954,72 @@ def run_task(
 
 
 def run_tasks(
-    tasks: Iterable[CellTask],
+    tasks: list[CellTask],
     config: CampaignConfig,
     core_cfg: CoreConfig = DEFAULT_CONFIG,
     *,
+    jobs: int = 1,
     store: "CampaignStore | None" = None,
+    supervisor: "SupervisorLike | None" = None,
     done: Callable[[CellTask, CellCheckpoint], None] | None = None,
-    **options,
-) -> None:
-    """The serial executor: run *tasks* in order, in-process.
+    checkpoint_every: int | None = DEFAULT_CHECKPOINT_EVERY,
+    verify: bool = False,
+    prune: bool = False,
+    backend: str = "multiprocessing",
+    backend_options: dict | None = None,
+    policy=None,
+    chaos=None,
+) -> int:
+    """Run *tasks*; return the samples this call lost to contained incidents.
 
-    Each finished cell's result goes to *store* (under the task's cell
-    key) before *done* hears of its end state; *options* are
-    :func:`run_cell`'s keyword arguments.
+    The one executor of cell tasks: at ``jobs <= 1`` they run in order,
+    in-process; otherwise on the resilient scheduler of
+    :mod:`repro.core.parallel`, over the executor backend *backend*
+    (*backend_options* go to its constructor), with *policy* (a
+    :class:`~repro.core.executor.ResiliencePolicy`) tuning its failure
+    handling and *chaos* (a :class:`~repro.core.chaos.ChaosSpec`, pooled
+    runs only) injecting faults into it.  Every task runs through
+    :func:`run_cell` either way, so end states do not depend on *jobs* or
+    *backend*.  Each finished cell's result goes to *store* (under the
+    task's cell key) before *done* hears of its end state; the remaining
+    keywords are :func:`run_cell`'s.
     """
+    if chaos is not None and jobs < 2:
+        raise ConfigError(
+            "chaos events fire in pool workers: they need jobs >= 2 "
+            f"(got {jobs})"
+        )
+    if jobs > 1:
+        from repro.core.executor import ResiliencePolicy, WorkerSpec
+        from repro.core.parallel import _Scheduler
+
+        policy = policy if policy is not None else ResiliencePolicy()
+        spec = WorkerSpec(
+            config=config, core_cfg=core_cfg,
+            supervised=supervisor is not None,
+            strict=bool(getattr(supervisor, "strict", False)),
+            checkpoint_every=checkpoint_every,
+            telemetry_enabled=obs.active() is not None,
+            verify=verify, prune=prune,
+            report_interval=policy.report_interval, chaos=chaos,
+        )
+        return _Scheduler(
+            tasks, spec, jobs, store=store, supervisor=supervisor,
+            backend=backend, backend_options=backend_options,
+            policy=policy, done=done,
+        ).run()
+    lost = 0
     for task in tasks:
-        state = run_task(task, config, core_cfg, store=store, **options)
+        state = run_task(
+            task, config, core_cfg, supervisor=supervisor, store=store,
+            checkpoint_every=checkpoint_every, verify=verify, prune=prune,
+        )
+        lost += state.lost - (task.start.lost if task.start else 0)
         if store is not None:
             store.put(task.cell_key, task.result(state))
         if done is not None:
             done(task, state)
+    return lost
 
 
 ProgressFn = Callable[[int, int, CellResult], None]
@@ -987,7 +1038,6 @@ class CampaignCells:
         config: CampaignConfig,
         store: "CampaignStore | None",
         core_cfg: CoreConfig,
-        resume: bool,
         progress: ProgressFn | None,
     ) -> None:
         self.progress = progress
@@ -1004,10 +1054,7 @@ class CampaignCells:
                 continue
             self.tasks.append(CellTask(
                 index, workload, component, cardinality, config.samples, key,
-                start=(
-                    store.get_partial(key)
-                    if store is not None and resume else None
-                ),
+                start=store.get_partial(key) if store is not None else None,
             ))
         self._emit()
 
@@ -1050,49 +1097,44 @@ def run_campaign(
     *,
     supervisor: "SupervisorLike | None" = None,
     checkpoint_every: int | None = DEFAULT_CHECKPOINT_EVERY,
-    resume: bool = True,
     jobs: int = 1,
     verify: bool = False,
     prune: bool = False,
     backend: str = "multiprocessing",
     backend_options: dict | None = None,
     policy=None,
+    chaos=None,
 ) -> CampaignResult:
-    """Run (or resume, via *store*) a full campaign.
+    """Run a full campaign, continuing from whatever *store* holds.
 
-    ``jobs > 1`` shards the cell grid across an executor backend
-    (see :mod:`repro.core.parallel`); cells are independently seeded, so
-    the merged result is byte-identical to the serial run.  *backend*
-    selects the worker transport (*backend_options* are forwarded to its
-    constructor — e.g. the socket coordinator's listen address) and
-    *policy* (a :class:`~repro.core.executor.ResiliencePolicy`) tunes the
-    fabric's failure handling; all three are ignored for serial runs.
-    *resume* continues cells from the store's mid-cell checkpoints.
+    Cells the store holds are served without simulation; the others
+    continue from the store's mid-cell checkpoint, if it has one, which
+    is bit-identical to starting them over.  They run through
+    :func:`run_tasks`, whose keywords these are: ``jobs > 1`` shards the
+    cells across an executor backend, and since cells are independently
+    seeded the merged result is byte-identical to the serial run.
     *verify* turns on the oracle cross-checks of :func:`run_cell` for
     every cell; results stay byte-identical to a non-verify run.  *prune*
     turns on liveness mask pruning (see :func:`run_cell`); results again
     stay byte-identical, which is why neither flag enters the cell cache
-    key.
+    key.  The result's ``incidents`` counts the samples this call lost to
+    contained incidents.
     """
-    if jobs > 1:
-        from repro.core.parallel import run_campaign_parallel
-
-        return run_campaign_parallel(
-            config, jobs=jobs, progress=progress, store=store,
-            core_cfg=core_cfg, supervisor=supervisor,
-            checkpoint_every=checkpoint_every, resume=resume,
-            verify=verify, prune=prune, backend=backend,
-            backend_options=backend_options, policy=policy,
+    cells = CampaignCells(config, store, core_cfg, progress)
+    tel = obs.active()
+    # Pooled runs only: serial telemetry has no exec.scheduler.* counters.
+    if tel is not None and jobs > 1 and cells.tasks:
+        tel.metrics.counter("exec.scheduler.cells_cached").inc(
+            len(cells.results)
         )
-    cells = CampaignCells(config, store, core_cfg, resume, progress)
-    run_tasks(
-        cells.tasks, config, core_cfg, store=store, done=cells.done,
-        supervisor=supervisor, checkpoint_every=checkpoint_every,
-        verify=verify, prune=prune,
+    lost = run_tasks(
+        cells.tasks, config, core_cfg, jobs=jobs, store=store,
+        supervisor=supervisor, done=cells.done,
+        checkpoint_every=checkpoint_every, verify=verify, prune=prune,
+        backend=backend, backend_options=backend_options, policy=policy,
+        chaos=chaos,
     )
-    return cells.result(
-        supervisor.incident_count if supervisor is not None else 0
-    )
+    return cells.result(lost)
 
 
 #: On-disk store schema.  Version 1 was a bare ``{key: cell}`` mapping
@@ -1181,7 +1223,7 @@ class CampaignStore:
                 self._partials.pop(record["key"], None)
             elif op == "partial":
                 self._partials[record["key"]] = record["state"]
-            elif op == "clear_partial":
+            elif op == "clear_partial":  # written by older versions
                 self._partials.pop(record["key"], None)
             # Unknown ops from a future schema are ignored, not fatal.
             replayed.append(line)
@@ -1219,11 +1261,6 @@ class CampaignStore:
     def put_partial(self, key: str, checkpoint: CellCheckpoint) -> None:
         self._partials[key] = checkpoint.as_dict()
         self._append({"op": "partial", "key": key, "state": self._partials[key]})
-
-    def clear_partial(self, key: str) -> None:
-        if key in self._partials:
-            del self._partials[key]
-            self._append({"op": "clear_partial", "key": key})
 
     def compact(self) -> None:
         """Fold the journal into an atomically-replaced snapshot.

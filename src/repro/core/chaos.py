@@ -24,7 +24,7 @@ Fault classes (one scenario each, composable):
   discarded before the merge.
 * ``torn``  — a mid-cell checkpoint append is torn halfway and the
   process "dies" at that exact point (:class:`~repro.errors.ChaosAbort`);
-  a restart + ``--resume`` must recover bit-identically.
+  a restart on the same store must recover bit-identically.
 * ``poison`` — one cell kills every worker that touches it; after
   ``max_attempts`` tries it must be quarantined as an incident instead
   of sinking the campaign (and must abort it under ``--strict`` or a
@@ -416,8 +416,7 @@ def _run_with_restarts(
     (the torn scenario tears one of those writes; kills and hangs resume
     from them).
     """
-    from repro.core.campaign import CampaignStore
-    from repro.core.parallel import run_campaign_parallel
+    from repro.core.campaign import CampaignStore, run_campaign
 
     restarts = 0
     supervisor = supervisor_factory()
@@ -425,11 +424,10 @@ def _run_with_restarts(
         store = CampaignStore(store_path)
         wrapped = TornWriteStore(store, spec) if spec.torn_ordinals else store
         try:
-            result = run_campaign_parallel(
-                config, jobs=jobs, store=wrapped, core_cfg=core_cfg,
-                supervisor=supervisor, resume=True,
-                checkpoint_every=checkpoint_every,
-                backend=backend, policy=policy, chaos=spec,
+            result = run_campaign(
+                config, store=wrapped, core_cfg=core_cfg,
+                supervisor=supervisor, checkpoint_every=checkpoint_every,
+                jobs=jobs, backend=backend, policy=policy, chaos=spec,
             )
             return result, supervisor, restarts
         except ChaosAbort:
@@ -446,7 +444,6 @@ def chaos_policy():
     from repro.core.executor import ResiliencePolicy
 
     return ResiliencePolicy(
-        heartbeat_interval=0.1,
         hang_timeout=2.0,
         retry_base_delay=0.05,
         retry_max_delay=0.5,
@@ -574,14 +571,14 @@ def _poison_outcome(
     reference_bytes: bytes,
 ) -> ScenarioOutcome:
     """The poison scenario: quarantine by default, abort under strict."""
-    from repro.core.parallel import run_campaign_parallel
+    from repro.core.campaign import run_campaign
     from repro.errors import InjectionIncident
 
     failures = []
     supervisor = make_supervisor()
-    result = run_campaign_parallel(
-        config, jobs=jobs, store=None, core_cfg=core_cfg,
-        supervisor=supervisor, backend=backend, policy=policy, chaos=spec,
+    result = run_campaign(
+        config, core_cfg=core_cfg, supervisor=supervisor, jobs=jobs,
+        backend=backend, policy=policy, chaos=spec,
     )
     kinds = [incident.kind for incident in supervisor.journal.incidents]
     if "poison-cell" not in kinds:
@@ -601,9 +598,9 @@ def _poison_outcome(
     for flag in flag_dir.glob("chaos-event-*.fired"):
         flag.unlink()
     try:
-        run_campaign_parallel(
-            config, jobs=jobs, store=None, core_cfg=core_cfg,
-            supervisor=make_supervisor(strict=True),
+        run_campaign(
+            config, core_cfg=core_cfg,
+            supervisor=make_supervisor(strict=True), jobs=jobs,
             backend=backend, policy=policy, chaos=spec,
         )
         failures.append("strict run completed despite a poison cell")

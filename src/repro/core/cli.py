@@ -3,7 +3,7 @@
 Examples::
 
     repro-campaign run --samples 50 --workloads crc32 sha --out results.json
-    repro-campaign run --store store.json --resume --max-incidents 20
+    repro-campaign run --store store.json --max-incidents 20   # rerun resumes
     repro-campaign run --jobs 4 --store store.json   # multi-core, same bytes
     repro-campaign run --jobs 4 --store store.json --telemetry
     repro-campaign stats --telemetry store.json.telemetry.json
@@ -97,7 +97,9 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--store", type=Path, default=None,
-        help="incremental cell cache (JSON snapshot + write-ahead journal)",
+        help="incremental cell cache (JSON snapshot + write-ahead journal); "
+        "a rerun serves finished cells from it and continues interrupted "
+        "ones from their last mid-cell checkpoint, bit-identically",
     )
     parser.add_argument(
         "--strict", action="store_true",
@@ -108,11 +110,6 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
         "--max-incidents", type=int, default=None, metavar="N",
         help="abort once more than N incidents were contained "
         "(default: unlimited)",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="resume mid-cell from the store's partial checkpoints "
-        "(bit-identical to an uninterrupted run)",
     )
     parser.add_argument(
         "--incident-journal", type=Path, default=None, metavar="PATH",
@@ -162,12 +159,6 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
         "(default 3)",
     )
     parser.add_argument(
-        "--heartbeat-interval", type=float, default=None, metavar="SECONDS",
-        help="how often each worker reports its CPU progress, from a "
-        "thread independent of the sample loop (default 0.5; must not "
-        "exceed --hang-timeout)",
-    )
-    parser.add_argument(
         "--max-backoff", type=float, default=None, metavar="SECONDS",
         help="cap on the exponential retry backoff between reschedules "
         "of a failed cell (default 30)",
@@ -199,8 +190,8 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
         "reaches --ci-target and reallocate the freed samples to the "
         "widest intervals; --samples becomes a per-cell budget ceiling. "
         "Waves run supervised, on every backend and at any --cores; "
-        "incompatible with --store/--resume (adaptive cells have no fixed "
-        "sample count to cache under)",
+        "incompatible with --store (adaptive cells have no fixed sample "
+        "count to cache under)",
     )
     parser.add_argument(
         "--ci-target", type=float, default=0.02, metavar="E",
@@ -259,10 +250,10 @@ def _policy_from_args(args: argparse.Namespace) -> ResiliencePolicy | None:
     """Validated resilience overrides, or ``None`` for policy defaults.
 
     Raises :class:`~repro.errors.ConfigError` on self-contradictory
-    knobs (e.g. a heartbeat interval above the hang timeout).
+    knobs (e.g. a backoff cap below the base delay).
     """
     overrides = {}
-    for attr in ("hang_timeout", "max_attempts", "heartbeat_interval"):
+    for attr in ("hang_timeout", "max_attempts"):
         value = getattr(args, attr, None)
         if value is not None:
             overrides[attr] = value
@@ -322,7 +313,7 @@ def _install_graceful_signals() -> None:
     Orchestrators (systemd, Kubernetes, CI timeouts) send SIGTERM; raising
     ``KeyboardInterrupt`` routes it into the same graceful path — workers
     stop at the next sample, final mid-cell checkpoints are flushed, and a
-    ``--resume`` continues bit-identically.
+    rerun on the same store continues bit-identically.
     """
     _interrupt_signum["value"] = signal.SIGINT
 
@@ -355,11 +346,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.adaptive and (args.store or args.resume):
+    if args.adaptive and args.store:
         # Adaptive cells have no fixed sample count, so they cannot share
         # the store's exact-parameter cache keys.
         print(
-            "error: --adaptive is incompatible with --store/--resume "
+            "error: --adaptive is incompatible with --store "
             "(adaptive cells have no fixed sample count to cache under)",
             file=sys.stderr,
         )
@@ -428,7 +419,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 core_cfg=core_cfg,
                 supervisor=supervisor,
                 checkpoint_every=args.checkpoint_every or None,
-                resume=args.resume,
                 jobs=args.jobs,
                 verify=args.verify,
                 prune=args.prune_masked,
@@ -448,7 +438,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(
             f"campaign interrupted ({signal.Signals(signum).name}) — "
             "mid-cell checkpoints flushed"
-            + (", rerun with --resume to continue bit-identically"
+            + (", rerun with the same --store to continue bit-identically"
                if store is not None else ""),
             file=sys.stderr,
         )
@@ -673,6 +663,14 @@ def _cmd_golden(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
+    if args.jobs < 2:
+        # Chaos events fire in pool workers; --jobs 1 runs in-process,
+        # where every scenario would pass without a fault injected.
+        print(
+            f"error: chaos needs --jobs 2 or more (got {args.jobs})",
+            file=sys.stderr,
+        )
+        return 2
     config = CampaignConfig(
         workloads=tuple(args.workloads) if args.workloads else ("crc32",),
         components=tuple(args.components),

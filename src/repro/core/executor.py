@@ -33,7 +33,7 @@ worker → parent   ``("ready", wid)`` · ``("progress", wid, cpu_s)`` ·
                   ``("stopped", wid)`` · ``("bye", wid)``
 
 Every worker runs a progress reporter thread that sends its CPU time
-(less the reporter's own) every ``heartbeat_interval``.  The value
+(less the reporter's own) every ``report_interval``.  The value
 advances whenever the worker computes — golden, checkpoint and liveness
 builds, oracle runs, injections alike — and stays flat while it sleeps,
 blocks or is partitioned away, so the scheduler's one failure rule
@@ -82,27 +82,31 @@ class ResiliencePolicy:
     ``hang_timeout`` seconds is stalled — its cells are reclaimed from
     their last acked checkpoint and the worker is killed (a socket
     worker's connection severed) and replaced within the restart budget.
-    Workers report every ``heartbeat_interval``.  A slow worker that is
+    Workers report every :attr:`report_interval`.  A slow worker that is
     still progressing is never accused: it keeps its cells.
     """
 
-    heartbeat_interval: float = 0.5
     hang_timeout: float = 30.0
     max_attempts: int = 3
     retry_base_delay: float = 0.25
     retry_max_delay: float = 30.0
 
+    @property
+    def report_interval(self) -> float:
+        """Seconds between a worker's progress reports: twenty per hang
+        timeout, and at least two a second."""
+        return min(0.5, self.hang_timeout / 20)
+
     def validate(self) -> None:
         """Reject self-contradictory knob combinations loudly.
 
         The CLI funnels user-supplied overrides through here so a typo'd
-        ``--heartbeat-interval 0`` fails at argument time, not as a
-        mysterious mid-campaign reclaim storm.
+        ``--hang-timeout 0`` fails at argument time, not as a mysterious
+        mid-campaign reclaim storm.
         """
         from repro.errors import ConfigError
 
         positive = {
-            "heartbeat_interval": self.heartbeat_interval,
             "hang_timeout": self.hang_timeout,
             "retry_base_delay": self.retry_base_delay,
             "retry_max_delay": self.retry_max_delay,
@@ -118,12 +122,6 @@ class ResiliencePolicy:
             raise ConfigError(
                 f"retry_max_delay ({self.retry_max_delay}) must be >= "
                 f"retry_base_delay ({self.retry_base_delay})"
-            )
-        if self.heartbeat_interval > self.hang_timeout:
-            raise ConfigError(
-                f"heartbeat_interval ({self.heartbeat_interval}) must not "
-                f"exceed hang_timeout ({self.hang_timeout}) — every live "
-                f"worker would look stalled"
             )
 
     def backoff(self, cell_key: str, attempt: int) -> float:
@@ -153,7 +151,7 @@ class WorkerSpec:
     telemetry_enabled: bool
     verify: bool
     prune: bool = False
-    heartbeat_interval: float = 0.5
+    report_interval: float = 0.5
     chaos: ChaosSpec | None = None
 
 
@@ -296,7 +294,7 @@ def worker_loop(
     finished = threading.Event()
     threading.Thread(
         target=_report_progress,
-        args=(send, worker_id, spec.heartbeat_interval, finished),
+        args=(send, worker_id, spec.report_interval, finished),
         name=f"repro-worker-{worker_id}-progress", daemon=True,
     ).start()
     try:

@@ -17,9 +17,12 @@ Architecture (one parent, N workers behind a pluggable backend):
   methods (``spawn``/``recv``).
 * **Tasks, not grids.**  The scheduler runs a list of
   :class:`~repro.core.campaign.CellTask` objects — whole cells of a campaign
-  (:func:`run_campaign_parallel`) or the batches of an adaptive wave
-  (:func:`run_wave`) — and hands back each task's end state; every task
-  runs through :func:`~repro.core.campaign.run_cell` on a worker.
+  or the batches of an adaptive wave — for
+  :func:`~repro.core.campaign.run_tasks`, the one executor of cell tasks,
+  which picks this pool at ``jobs > 1``; each task runs through
+  :func:`~repro.core.campaign.run_cell` on a worker and its end state goes
+  back to the caller.  The scheduler is built from the
+  :class:`~repro.core.executor.WorkerSpec` it ships to its workers.
 * **Sharding with workload affinity.**  Cells are grouped by workload and
   groups are handed to workers whole, so a worker fills a workload's
   :class:`~repro.core.campaign.CheckpointedWorkload` snapshot set once
@@ -51,14 +54,15 @@ Architecture (one parent, N workers behind a pluggable backend):
   only under ``--strict``/``--max-incidents``.
 * **Graceful degradation.**  Worker deaths beyond the restart budget stop
   the respawning: the pool shrinks, and when it reaches zero the parent
-  finishes the remaining (non-quarantined) cells serially in-process —
-  a failing backend degrades a campaign's speed, never its answer.
+  finishes the remaining (non-quarantined) cells serially in-process
+  through :func:`~repro.core.campaign.run_tasks` — a failing backend
+  degrades a campaign's speed, never its answer.
 * **Incident forwarding, telemetry streaming, graceful Ctrl-C/SIGTERM**
   — the parent enforces the global ``--max-incidents``/``--strict``
   budget, merges per-cell metric deltas in canonical order, reports each
   finished task to its caller (which fires progress in canonical order),
-  and on SIGINT/SIGTERM drains final checkpoints so ``--resume``
-  continues bit-identically.
+  and on SIGINT/SIGTERM drains final checkpoints so a rerun on the same
+  store continues bit-identically.
 
 The deterministic chaos harness (:mod:`repro.core.chaos`,
 ``repro-campaign chaos``) injects worker kills, stalls, dropped and
@@ -77,19 +81,12 @@ from typing import Callable
 from repro import obs
 
 from repro.core.campaign import (
-    DEFAULT_CHECKPOINT_EVERY,
-    CampaignCells,
-    CampaignConfig,
-    CampaignResult,
-    CampaignStore,
     CellCheckpoint,
     CellTask,
-    ProgressFn,
     golden_run,
     run_tasks,
 )
 from repro.core.avf import ClassCounts
-from repro.core.chaos import ChaosSpec
 from repro.core.executor import (
     ExecutorBackend,
     ResiliencePolicy,
@@ -97,7 +94,6 @@ from repro.core.executor import (
     WorkerSpec,
     create_backend,
 )
-from repro.cpu.config import DEFAULT_CONFIG, CoreConfig
 from repro.errors import IncidentBudgetExceeded, InjectionIncident
 from repro.workloads import get_workload
 
@@ -143,44 +139,36 @@ def _affinity_batches(tasks: list[CellTask], jobs: int) -> list[list[CellTask]]:
 
 class _Scheduler:
     """One list of cell tasks' resilient parent loop over an executor
-    backend; :meth:`run` returns every task's end state by index."""
+    backend, running every task as *spec* describes; :meth:`run` reports
+    each end state to *done* and returns the samples lost to contained
+    incidents."""
 
     def __init__(
         self,
         tasks: list[CellTask],
-        config: CampaignConfig,
+        spec: WorkerSpec,
         jobs: int,
+        *,
         store,
-        core_cfg: CoreConfig,
         supervisor,
-        checkpoint_every: int | None,
-        verify: bool,
-        prune: bool,
-        backend_name: str,
+        backend: str,
+        backend_options: dict | None,
         policy: ResiliencePolicy,
-        chaos: ChaosSpec | None,
-        backend_options: dict | None = None,
-        done: Callable[[CellTask, CellCheckpoint], None] | None = None,
+        done: Callable[[CellTask, CellCheckpoint], None] | None,
     ) -> None:
-        self.config = config
+        self.spec = spec
         self.jobs = jobs
         self.store = store
-        self.core_cfg = core_cfg
         self.supervisor = supervisor
-        self.checkpoint_every = checkpoint_every
-        self.verify = verify
-        self.prune = prune
-        self.backend_name = backend_name
+        self.backend_name = backend
         self.backend_options = backend_options
         self.policy = policy
-        self.chaos = chaos
         self.done = done
 
         self.tasks: dict[int, CellTask] = {task.index: task for task in tasks}
         self.results: dict[int, CellCheckpoint] = {}
 
         # Supervisor-derived knobs (duck-typed, like the serial path).
-        self.strict = bool(getattr(supervisor, "strict", False))
         self.max_incidents = getattr(supervisor, "max_incidents", None)
         self.journal = getattr(supervisor, "journal", None)
 
@@ -266,7 +254,8 @@ class _Scheduler:
             component=component,
             cardinality=cardinality,
             cell_seed=(
-                f"{self.config.seed}:{workload}:{component}:{cardinality}"
+                f"{self.spec.config.seed}:{workload}:{component}:"
+                f"{cardinality}"
                 if index is not None else ""
             ),
             sample_index=-1,
@@ -400,7 +389,7 @@ class _Scheduler:
             kind, worker=worker_id, exitcode=handle.exitcode(),
             rescheduled=len(remaining),
         )
-        if self.strict:
+        if self.spec.strict:
             self.abort_exc = InjectionIncident(f"[strict] {incident.message}")
             return
         self._budget_abort(incident.message)
@@ -456,8 +445,8 @@ class _Scheduler:
             state = CellCheckpoint(
                 samples_done=0, counts=ClassCounts(), cycle_rng_state=None,
                 generator_rng_state=None, golden_cycles=golden_run(
-                    get_workload(task.workload), self.core_cfg,
-                    cores=self.config.cores,
+                    get_workload(task.workload), self.spec.core_cfg,
+                    cores=self.spec.config.cores,
                 ).cycles,
             )
         done = state.samples_done
@@ -483,7 +472,7 @@ class _Scheduler:
             lost=lost,
         )
         self._finish(index, state)
-        if self.strict:
+        if self.spec.strict:
             self.abort_exc = InjectionIncident(f"[strict] {incident.message}")
             return
         self._budget_abort(incident.message)
@@ -557,18 +546,19 @@ class _Scheduler:
         message = self.backend.recv(timeout)
         if message is None:
             return []
-        if self.chaos is None:
+        chaos = self.spec.chaos
+        if chaos is None:
             return [message]
         kind = message[0]
         copies = 1
         if kind in ("partial", "telemetry", "cell"):
-            if self._chaos_droppable in self.chaos.drop_ordinals:
+            if self._chaos_droppable in chaos.drop_ordinals:
                 self._chaos_droppable += 1
                 self._counter("exec.chaos.dropped")
                 return []
             self._chaos_droppable += 1
         if kind in ("cell", "partial"):
-            if self._chaos_dupable in self.chaos.dup_ordinals:
+            if self._chaos_dupable in chaos.dup_ordinals:
                 copies = 2
                 self._counter("exec.chaos.duplicated")
             self._chaos_dupable += 1
@@ -666,25 +656,19 @@ class _Scheduler:
             if task.attempt >= self.policy.max_attempts:
                 self._quarantine(task, "degraded")
                 continue
-            before = (
-                self.supervisor.incident_count
-                if self.supervisor is not None else 0
-            )
             try:
-                run_tasks(
-                    [task], self.config, self.core_cfg, store=self.store,
+                lost = run_tasks(
+                    [task], self.spec.config, self.spec.core_cfg,
+                    store=self.store, supervisor=self.supervisor,
                     done=lambda task, state: self._finish(task.index, state),
-                    supervisor=self.supervisor,
-                    checkpoint_every=self.checkpoint_every,
-                    verify=self.verify, prune=self.prune,
+                    checkpoint_every=self.spec.checkpoint_every,
+                    verify=self.spec.verify, prune=self.spec.prune,
                 )
             except InjectionIncident as exc:
                 self.abort_exc = exc
                 return
-            if self.supervisor is not None:
-                contained = self.supervisor.incident_count - before
-                self.total_incidents += contained
-                self.lost_sample_incidents += contained
+            self.total_incidents += lost
+            self.lost_sample_incidents += lost
 
     # -- shutdown paths ----------------------------------------------------
 
@@ -758,25 +742,15 @@ class _Scheduler:
 
     # -- the main loop -----------------------------------------------------
 
-    def run(self) -> dict[int, CellCheckpoint]:
+    def run(self) -> int:
         if not self.tasks:
-            return self.results
+            return 0
         jobs = max(1, min(self.jobs, len(self.tasks)))
         batches = _affinity_batches(list(self.tasks.values()), jobs)
         self.batches = deque(batches)
         self.max_restarts = jobs * _WORKER_RESTARTS
-        spec = WorkerSpec(
-            config=self.config, core_cfg=self.core_cfg,
-            supervised=self.supervisor is not None, strict=self.strict,
-            checkpoint_every=self.checkpoint_every,
-            telemetry_enabled=self.parent_tel is not None,
-            verify=self.verify,
-            prune=self.prune,
-            heartbeat_interval=self.policy.heartbeat_interval,
-            chaos=self.chaos,
-        )
         self.backend = create_backend(
-            self.backend_name, spec, self.backend_options
+            self.backend_name, self.spec, self.backend_options
         )
         if self.parent_tel is not None:
             self.parent_tel.metrics.gauge("exec.scheduler.batches").set_max(
@@ -807,7 +781,7 @@ class _Scheduler:
             # Graceful drain (SIGINT and SIGTERM both land here): let
             # every worker finish its current sample, flush its final
             # mid-cell checkpoint, and exit; persist whatever arrives so
-            # --resume continues bit-identically.
+            # a rerun on the store continues bit-identically.
             self.global_stop = True
             for worker_id, handle in self.handles.items():
                 if worker_id not in self.retired:
@@ -824,96 +798,5 @@ class _Scheduler:
             if self.store is not None:
                 self.store.compact()
             raise self.abort_exc
-        return self.results
+        return self.lost_sample_incidents
 
-
-def run_campaign_parallel(
-    config: CampaignConfig,
-    jobs: int,
-    progress: ProgressFn | None = None,
-    store: CampaignStore | None = None,
-    core_cfg: CoreConfig = DEFAULT_CONFIG,
-    *,
-    supervisor=None,
-    checkpoint_every: int | None = DEFAULT_CHECKPOINT_EVERY,
-    resume: bool = True,
-    verify: bool = False,
-    prune: bool = False,
-    backend: str = "multiprocessing",
-    backend_options: dict | None = None,
-    policy: ResiliencePolicy | None = None,
-    chaos: ChaosSpec | None = None,
-) -> CampaignResult:
-    """Run a campaign across *jobs* workers behind an executor backend.
-
-    Drop-in equivalent of the serial :func:`~repro.core.campaign.run_campaign`
-    body: same store semantics (cached cells are served without
-    simulation, new cells are persisted as they finish), same supervisor
-    contract (*supervisor*'s journal receives every incident and its
-    ``incident_count`` grows), same result — byte-identical JSON.
-
-    *backend* names the executor backend (see
-    :data:`repro.core.executor.ALL_BACKEND_NAMES`) and *backend_options*
-    are passed to its constructor (e.g. ``{"host": ..., "port": ...,
-    "autospawn": False}`` for a listening socket coordinator); *policy*
-    tunes the resilience protocol; *chaos* injects deterministic faults
-    into the fabric (see :mod:`repro.core.chaos`).
-    """
-    cells = CampaignCells(config, store, core_cfg, resume, progress)
-    tel = obs.active()
-    if tel is not None and cells.tasks:
-        tel.metrics.counter("exec.scheduler.cells_cached").inc(
-            len(cells.results)
-        )
-    scheduler = _Scheduler(
-        cells.tasks, config, jobs, store, core_cfg, supervisor,
-        checkpoint_every, verify, prune, backend,
-        policy if policy is not None else ResiliencePolicy(), chaos,
-        backend_options, done=cells.done,
-    )
-    scheduler.run()
-    return cells.result(scheduler.lost_sample_incidents)
-
-
-def run_wave(
-    tasks: list[CellTask],
-    config: CampaignConfig,
-    core_cfg: CoreConfig = DEFAULT_CONFIG,
-    *,
-    jobs: int = 1,
-    supervisor=None,
-    verify: bool = False,
-    prune: bool = False,
-    backend: str = "multiprocessing",
-    backend_options: dict | None = None,
-    policy: ResiliencePolicy | None = None,
-) -> tuple[dict[int, CellCheckpoint], int]:
-    """Run one wave of storeless *tasks*: serially in-process at
-    ``jobs=1``, else on the scheduler.
-
-    Returns every task's end state by index and the samples the wave lost
-    to contained incidents.  The end states do not depend on *jobs* or
-    *backend*: every task runs through
-    :func:`~repro.core.campaign.run_cell` either way.
-    """
-    if jobs <= 1:
-        states: dict[int, CellCheckpoint] = {}
-
-        def done(task: CellTask, state: CellCheckpoint) -> None:
-            states[task.index] = state
-
-        before = supervisor.incident_count if supervisor is not None else 0
-        run_tasks(
-            tasks, config, core_cfg, done=done,
-            supervisor=supervisor, checkpoint_every=None,
-            verify=verify, prune=prune,
-        )
-        after = supervisor.incident_count if supervisor is not None else 0
-        return states, after - before
-    scheduler = _Scheduler(
-        tasks, config, jobs, None, core_cfg, supervisor, None, verify,
-        prune, backend,
-        policy if policy is not None else ResiliencePolicy(), None,
-        backend_options,
-    )
-    return scheduler.run(), scheduler.lost_sample_incidents

@@ -124,7 +124,7 @@ def test_adaptive_without_scipy_fails_before_the_first_wave(
     def no_wave(*args, **kwargs):
         raise AssertionError("a wave ran before the SciPy check")
 
-    monkeypatch.setattr(adaptive_module, "run_wave", no_wave)
+    monkeypatch.setattr(adaptive_module, "run_tasks", no_wave)
     try:
         status = cli.main([
             "run", "--adaptive", "--ci-target", "0.1",

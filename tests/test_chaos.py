@@ -20,12 +20,11 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.core.campaign import CampaignConfig
+from repro.core.campaign import CampaignConfig, run_campaign
 from repro.core.chaos import ChaosEvent, ChaosSpec, build_spec, run_chaos
 from repro.core.executor import ResiliencePolicy
-from repro.core.parallel import run_campaign_parallel
 from repro.core.supervisor import IncidentJournal, Supervisor
-from repro.errors import IncidentBudgetExceeded
+from repro.errors import ConfigError, IncidentBudgetExceeded
 
 CONFIG = CampaignConfig(
     workloads=("crc32",),
@@ -38,7 +37,6 @@ CONFIG = CampaignConfig(
 #: The harness default, minus sleeps: sub-second progress reports and
 #: retries so stall detection happens in test time.
 POLICY = ResiliencePolicy(
-    heartbeat_interval=0.05,
     hang_timeout=1.0,
     retry_base_delay=0.02,
     retry_max_delay=0.2,
@@ -105,7 +103,6 @@ def test_chaos_net_matrix_on_socket_backend_is_byte_identical(tmp_path):
     # Network faults surface as instant EOF, so stall detection is not
     # part of these scenarios.
     policy = ResiliencePolicy(
-        heartbeat_interval=0.05,
         hang_timeout=30.0,
         retry_base_delay=0.02,
         retry_max_delay=0.2,
@@ -149,14 +146,10 @@ def test_chaos_net_scenarios_refuse_non_socket_backends(tmp_path):
 def test_healthy_campaign_with_tight_hang_timeout_has_no_incidents(backend):
     """Slow is not dead: a hang timeout shorter than one sample of this
     grid must not accuse a worker that is computing, on either backend."""
-    from repro.core.campaign import run_campaign
-
     supervisor = Supervisor(journal=IncidentJournal())
-    result = run_campaign_parallel(
+    result = run_campaign(
         CONFIG, jobs=2, supervisor=supervisor, backend=backend,
-        policy=ResiliencePolicy(
-            heartbeat_interval=0.05, hang_timeout=0.4,
-        ),
+        policy=ResiliencePolicy(hang_timeout=0.4),
     )
     assert supervisor.journal.incidents == []
     assert result.to_json() == run_campaign(CONFIG).to_json()
@@ -177,6 +170,25 @@ def test_chaos_cli_validates_its_policy(tmp_path):
     assert not (tmp_path / "reference-store.json").exists()
 
 
+def test_chaos_needs_a_pool(tmp_path):
+    """At jobs=1 cells run in-process, where worker chaos events never
+    fire: every scenario would pass without a fault injected."""
+    with pytest.raises(ConfigError, match="jobs >= 2"):
+        run_campaign(CONFIG, jobs=1, chaos=ChaosSpec(drop_ordinals=(0,)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(
+        Path(__file__).resolve().parent.parent / "src"
+    ) + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-m", "repro.core.cli", "chaos",
+         "--workdir", str(tmp_path), "--jobs", "1"],
+        env=env, capture_output=True, timeout=60,
+    )
+    assert out.returncode == 2
+    assert "--jobs 2" in out.stderr.decode()
+    assert not (tmp_path / "reference-store.json").exists()
+
+
 def test_chaos_poison_quarantines_then_strict_aborts(tmp_path):
     report = run_chaos(
         CONFIG, scenarios=("poison",), jobs=2, seed=0,
@@ -194,7 +206,7 @@ def test_poison_cell_respects_incident_budget(tmp_path):
     spec = build_spec("poison", CONFIG, 0, tmp_path, max_attempts=2)
     supervisor = Supervisor(journal=IncidentJournal(), max_incidents=0)
     with pytest.raises(IncidentBudgetExceeded):
-        run_campaign_parallel(
+        run_campaign(
             CONFIG, jobs=2, supervisor=supervisor,
             policy=ResiliencePolicy(
                 max_attempts=2, retry_base_delay=0.02, retry_max_delay=0.1,
@@ -208,7 +220,7 @@ def test_worker_death_counts_lost_telemetry_deltas(tmp_path):
     telemetry = obs.enable()
     try:
         supervisor = Supervisor(journal=IncidentJournal())
-        run_campaign_parallel(
+        run_campaign(
             CONFIG, jobs=2, supervisor=supervisor,
             chaos=ChaosSpec(events=(ChaosEvent(
                 "kill", "crc32", "itlb", 1,
@@ -232,7 +244,7 @@ def test_retry_incidents_render_in_incidents_cli(tmp_path):
 
     journal_path = tmp_path / "incidents.jsonl"
     supervisor = Supervisor(journal=IncidentJournal(journal_path))
-    run_campaign_parallel(
+    run_campaign(
         CONFIG, jobs=2, supervisor=supervisor,
         chaos=ChaosSpec(events=(ChaosEvent(
             "kill", "crc32", "regfile", 1, flag=str(tmp_path / "crashed.flag"),
@@ -261,7 +273,7 @@ def test_incidents_cli_filters_by_type(tmp_path):
 
     journal_path = tmp_path / "incidents.jsonl"
     supervisor = Supervisor(journal=IncidentJournal(journal_path))
-    run_campaign_parallel(
+    run_campaign(
         CONFIG, jobs=2, supervisor=supervisor,
         chaos=ChaosSpec(events=(ChaosEvent(
             "kill", "crc32", "regfile", 1, flag=str(tmp_path / "crashed.flag"),
@@ -302,7 +314,8 @@ def test_incidents_cli_filters_by_type(tmp_path):
 @pytest.mark.parametrize("backend", ["multiprocessing", "socket"])
 def test_cli_sigterm_drains_and_resume_completes(tmp_path, backend):
     """SIGTERM is the operator's Ctrl-C: graceful drain, checkpoint
-    flush, exit 143, and a later --resume lands on the reference bytes.
+    flush, exit 143, and a rerun on the same store lands on the reference
+    bytes.
 
     The socket row is the satellite contract: a distributed coordinator
     drains its TCP workers exactly like local ones."""
@@ -346,7 +359,7 @@ def test_cli_sigterm_drains_and_resume_completes(tmp_path, backend):
     out = subprocess.run(
         [sys.executable, "-m", "repro.core.cli", "run", *config_args,
          "--jobs", "2", "--backend", backend, "--store", str(store),
-         "--resume", "--out", str(tmp_path / "resumed.json")],
+         "--out", str(tmp_path / "resumed.json")],
         env=env, capture_output=True, timeout=300,
     )
     assert out.returncode == 0, out.stderr.decode()

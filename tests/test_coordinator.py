@@ -26,7 +26,6 @@ from repro.core.coordinator import (
     run_worker,
 )
 from repro.core.executor import WorkerSpec
-from repro.core.parallel import run_campaign_parallel
 from repro.core.wire import HANDSHAKE_EPOCH, read_frame, write_frame
 
 CONFIG = CampaignConfig(
@@ -196,7 +195,7 @@ def test_listen_mode_with_external_workers_matches_serial(tmp_path):
         for _ in range(2)
     ]
     try:
-        result = run_campaign_parallel(
+        result = run_campaign(
             CONFIG, jobs=2, backend="socket",
             backend_options={
                 "host": "127.0.0.1", "port": port,

@@ -10,13 +10,14 @@ policy.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import struct
 
 import pytest
 
 from repro.core.campaign import CampaignConfig, run_campaign
-from repro.core.chaos import ChaosEvent, ChaosSpec
+from repro.core.chaos import ChaosEvent, ChaosSpec, chaos_policy
 from repro.core.executor import (
     ALL_BACKEND_NAMES,
     RETRY_JITTER,
@@ -25,7 +26,6 @@ from repro.core.executor import (
     _serialised,
     create_backend,
 )
-from repro.core.parallel import run_campaign_parallel
 from repro.core.supervisor import IncidentJournal, Supervisor
 from repro.core.wire import MAX_FRAME_BYTES, read_frame, write_frame
 from repro.errors import ConfigError
@@ -52,14 +52,14 @@ def serial_reference():
 
 @pytest.mark.parametrize("backend", sorted(ALL_BACKEND_NAMES))
 def test_backend_matches_serial_byte_identically(backend, serial_reference):
-    result = run_campaign_parallel(GRID, jobs=2, backend=backend)
+    result = run_campaign(GRID, jobs=2, backend=backend)
     assert result.to_json() == serial_reference.to_json()
 
 
 @pytest.mark.parametrize("backend", sorted(ALL_BACKEND_NAMES))
 def test_backend_contains_worker_crash(backend, serial_reference, tmp_path):
     supervisor = Supervisor(journal=IncidentJournal())
-    result = run_campaign_parallel(
+    result = run_campaign(
         GRID, jobs=2, backend=backend, supervisor=supervisor,
         chaos=ChaosSpec(events=(ChaosEvent(
             "kill", "crc32", "itlb", 2,
@@ -204,15 +204,27 @@ def test_policy_defaults_validate():
 
 
 @pytest.mark.parametrize("overrides,fragment", [
-    ({"heartbeat_interval": 0.0}, "heartbeat_interval"),
+    ({"hang_timeout": -1.0}, "hang_timeout"),
     ({"hang_timeout": 0.0}, "hang_timeout"),
     ({"retry_base_delay": 0.0}, "retry_base_delay"),
     ({"max_attempts": 0}, "max_attempts"),
     ({"retry_max_delay": 0.0}, "retry_max_delay"),
     ({"retry_base_delay": 5.0, "retry_max_delay": 1.0}, "retry_max_delay"),
-    ({"heartbeat_interval": 60.0, "hang_timeout": 1.0},
-     "heartbeat_interval"),
 ])
 def test_policy_validate_rejects_bad_knobs(overrides, fragment):
     with pytest.raises(ConfigError, match=fragment):
         ResiliencePolicy(**overrides).validate()
+
+
+def test_report_interval_is_derived_from_the_hang_timeout():
+    """Twenty progress reports per hang timeout, at most every 0.5 s: the
+    default 30 s timeout reports every 0.5 s, the chaos policy's 2 s one
+    every 0.1 s, and no valid timeout can outrun its reports."""
+    assert [field.name for field in dataclasses.fields(ResiliencePolicy)] \
+        == ["hang_timeout", "max_attempts", "retry_base_delay",
+            "retry_max_delay"]
+    assert ResiliencePolicy().report_interval == 0.5
+    assert chaos_policy().report_interval == pytest.approx(0.1)
+    for hang_timeout in (0.01, 0.4, 2.0, 10.0, 30.0, 600.0):
+        interval = ResiliencePolicy(hang_timeout=hang_timeout).report_interval
+        assert 0 < interval <= hang_timeout / 20

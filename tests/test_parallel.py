@@ -27,7 +27,7 @@ from repro.core.campaign import (
     run_cell,
 )
 from repro.core.chaos import ChaosEvent, ChaosSpec
-from repro.core.parallel import _affinity_batches, run_campaign_parallel
+from repro.core.parallel import _affinity_batches
 from repro.core.supervisor import IncidentJournal, Supervisor
 from repro.errors import (
     CampaignInterrupted,
@@ -75,7 +75,7 @@ def test_worker_crash_is_contained_rescheduled_and_identical(
 ):
     supervisor = Supervisor(journal=IncidentJournal(tmp_path / "inc.jsonl"))
     store = CampaignStore(tmp_path / "store.json")
-    result = run_campaign_parallel(
+    result = run_campaign(
         GRID, jobs=3, store=store, supervisor=supervisor,
         chaos=ChaosSpec(events=(ChaosEvent(
             "kill", "crc32", "itlb", 2, flag=str(tmp_path / "crashed.flag"),
@@ -105,7 +105,7 @@ def test_worker_crash_is_contained_rescheduled_and_identical(
 def test_worker_crash_respects_strict(tmp_path):
     supervisor = Supervisor(journal=IncidentJournal(), strict=True)
     with pytest.raises(InjectionIncident, match=r"\[strict\].*died"):
-        run_campaign_parallel(
+        run_campaign(
             GRID, jobs=2, supervisor=supervisor,
             chaos=ChaosSpec(events=(ChaosEvent(
                 "kill", "stringsearch", "regfile", 1,
@@ -117,7 +117,7 @@ def test_worker_crash_respects_strict(tmp_path):
 def test_worker_crash_respects_incident_budget(tmp_path):
     supervisor = Supervisor(journal=IncidentJournal(), max_incidents=0)
     with pytest.raises(IncidentBudgetExceeded):
-        run_campaign_parallel(
+        run_campaign(
             GRID, jobs=2, supervisor=supervisor,
             chaos=ChaosSpec(events=(ChaosEvent(
                 "kill", "stringsearch", "regfile", 1,
@@ -207,8 +207,8 @@ def test_run_cell_stop_hook_flushes_checkpoint_and_resumes(tmp_path):
 
 
 def test_cli_sigint_drains_and_resume_completes(tmp_path):
-    """End-to-end Ctrl-C: SIGINT a --jobs run, then --resume to the same
-    bytes an uninterrupted run produces."""
+    """End-to-end Ctrl-C: SIGINT a --jobs run, then rerun on the same store
+    to the bytes an uninterrupted run produces."""
     if os.name != "posix":  # pragma: no cover
         pytest.skip("SIGINT delivery is POSIX-only")
     config_args = [
@@ -247,7 +247,7 @@ def test_cli_sigint_drains_and_resume_completes(tmp_path):
 
     out = subprocess.run(
         [sys.executable, "-m", "repro.core.cli", "run", *config_args,
-         "--jobs", "2", "--store", str(store), "--resume",
+         "--jobs", "2", "--store", str(store),
          "--out", str(tmp_path / "resumed.json")],
         env=env, capture_output=True, timeout=300,
     )

@@ -277,9 +277,20 @@ def test_campaign_killed_and_resumed_matches_uninterrupted(tmp_path, monkeypatch
             config, store=CampaignStore(path), checkpoint_every=3,
         )
     monkeypatch.undo()
+    # The store holds the first cell and a 3-sample checkpoint of the
+    # second (its fourth sample died): a rerun continues from there.
+    calls = {"count": 0}
+    real = campaign.run_one_injection
+
+    def counting(*args, **kwargs):
+        calls["count"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(campaign, "run_one_injection", counting)
     resumed = run_campaign(
-        config, store=CampaignStore(path), checkpoint_every=3, resume=True,
+        config, store=CampaignStore(path), checkpoint_every=3,
     )
+    assert calls["count"] == 8 - 3
     for cell in baseline.cells:
         other = resumed.cell(cell.workload, cell.component, cell.cardinality)
         assert other.counts == cell.counts

@@ -60,6 +60,35 @@ def test_sabotaged_campaign_runs_to_completion(monkeypatch):
     assert incident.cell_seed.endswith(f"{WORKLOAD}:regfile:1")
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_result_counts_only_this_runs_incidents(monkeypatch, jobs):
+    """A supervisor shared by two campaigns: each result's ``incidents``
+    counts the samples its own run lost, not the supervisor's total."""
+    config = CampaignConfig(
+        workloads=(WORKLOAD,), components=("regfile", "itlb"),
+        cardinalities=(1,), samples=3, seed=3,
+    )
+    real = supervisor_module.run_one_injection
+    fired = []
+
+    def once(workload, component, *args, **kwargs):
+        # Per process: at jobs=2 only the worker holding itlb fires.
+        if component == "itlb" and not fired:
+            fired.append(component)
+            raise RuntimeError("one contained incident")
+        return real(workload, component, *args, **kwargs)
+
+    supervisor = Supervisor()
+    monkeypatch.setattr(supervisor_module, "run_one_injection", once)
+    first = run_campaign(config, supervisor=supervisor, jobs=jobs)
+    monkeypatch.undo()
+    second = run_campaign(config, supervisor=supervisor, jobs=jobs)
+    assert first.incidents == 1
+    assert supervisor.incident_count == 1
+    assert second.incidents == 0
+    assert sum(cell.counts.total for cell in second.cells) == 6
+
+
 def test_unsupervised_campaign_still_propagates(monkeypatch):
     sabotage_inject(monkeypatch, every=1)
     with pytest.raises(RuntimeError):
@@ -219,7 +248,7 @@ def test_cli_store_resume_flag_round_trip(tmp_path, capsys):
     argv = [
         "run", "--workloads", WORKLOAD, "--components", "regfile",
         "--cardinalities", "1", "--samples", "3", "--seed", "2",
-        "--store", str(store), "--resume", "--checkpoint-every", "2",
+        "--store", str(store), "--checkpoint-every", "2",
         "--out", str(tmp_path / "results.json"),
     ]
     assert main(argv) == 0
