@@ -134,21 +134,32 @@ def golden_run(
     single-core cache key is exactly the historical one, keeping every
     existing caller's hits (and bytes) identical.
     """
-    tel = obs.active()
-    if cores == 1:
-        cache_key = (workload.name, core_cfg)
-    else:
-        cache_key = (workload.name, core_cfg, cores)
-    cached = _GOLDEN_CACHE.get(cache_key)
+    cache_key = (workload.name, core_cfg)
+    if cores != 1:
+        cache_key += (cores,)
+    cached = _cached_golden(cache_key)
     if cached is not None:
-        if tel is not None:
-            tel.metrics.counter("exec.lru.golden.hits").inc()
         return cached
-    if tel is not None:
-        tel.metrics.counter("exec.lru.golden.misses").inc()
     with obs.span("golden-run", workload=workload.name):
         system = build_system(workload, core_cfg, cores)
         result = system.run(max_cycles=max_cycles)
+    return _keep_golden(workload, cache_key, result, max_cycles)
+
+
+def _cached_golden(cache_key) -> RunResult | None:
+    """The golden cache's entry for *cache_key*, counted as a hit or miss."""
+    cached = _GOLDEN_CACHE.get(cache_key)
+    tel = obs.active()
+    if tel is not None:
+        outcome = "misses" if cached is None else "hits"
+        tel.metrics.counter(f"exec.lru.golden.{outcome}").inc()
+    return cached
+
+
+def _keep_golden(workload: Workload, cache_key, result: RunResult,
+                 max_cycles: int = GOLDEN_MAX_CYCLES) -> RunResult:
+    """Validate *result* as *workload*'s golden run and cache it; the
+    liveness trace builder's instrumented pass can end here too."""
     if result.status is not RunStatus.FINISHED:
         raise ConfigError(
             f"golden run of {workload.name} did not finish within its "
@@ -534,6 +545,13 @@ class InjectionPlan:
                 f"checkpoints of a {checkpoints.cores}-core machine cannot "
                 f"restore a {cores}-core injection"
             )
+        liveness = None
+        if prune:
+            from repro.core.liveness import liveness_for
+
+            # First: on a cold golden cache the traced pass is the golden
+            # run, and golden_run below hits the cache.
+            liveness = liveness_for(workload, core_cfg)
         golden = golden_run(workload, core_cfg, cores=cores)
         if verify:
             from repro.verify.differential import verify_workload
@@ -541,11 +559,6 @@ class InjectionPlan:
             verify_workload(workload, core_cfg, cores=cores)
         if checkpoints is True:
             checkpoints = _checkpoints_for(workload, core_cfg, cores)
-        liveness = None
-        if prune:
-            from repro.core.liveness import liveness_for
-
-            liveness = liveness_for(workload, core_cfg)
         return cls(
             golden=golden,
             core_cfg=core_cfg,

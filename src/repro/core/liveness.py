@@ -4,8 +4,8 @@ A fault is Masked iff no flipped bit is *consumed* (read) before it is
 overwritten, evicted or invalidated — a dataflow fact provable from the
 golden run alone, the dead-data reasoning of Jaulmes, Moretó, Valero and
 Casas, "Memory Vulnerability: A Case for Delaying Error Reporting".  This
-module records, during one dedicated instrumented replay of the (cached)
-golden run, per-component bit-granular lifetime traces:
+module records, during one instrumented run of the golden execution,
+per-component bit-granular lifetime traces:
 
 * **caches** (``l1d``/``l1i``/``l2``): per (line, byte) READ/KILL
   timelines from the core's loads, stores and fetches, plus line-level
@@ -35,8 +35,9 @@ byte-identical to unpruned ones — the invariant CI enforces with ``cmp``.
 
 Traces are built once per (workload, platform) on a fresh system with
 instance-level instrumentation hooks (the trace system is never deep-copied
-and never injected into), sanity-checked against the golden run, and kept
-in a small LRU like the checkpoint cache.
+and never injected into), kept in an LRU bounded like the golden cache.
+The instrumented run becomes the golden run when none is cached yet, and
+is checked against it otherwise.
 """
 
 from __future__ import annotations
@@ -46,7 +47,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from repro import obs
-from repro.core.campaign import GOLDEN_MAX_CYCLES, _BoundedCache, golden_run
+from repro.core.campaign import (
+    GOLDEN_CACHE_SIZE, GOLDEN_MAX_CYCLES, _BoundedCache, _cached_golden,
+    _keep_golden, golden_run,
+)
 from repro.core.faults import FaultMask
 from repro.errors import ConfigError
 from repro.cpu.config import DEFAULT_CONFIG, CoreConfig
@@ -74,9 +78,6 @@ _NEVER = float("inf")
 #: and replacement logic, so never provably dead while the entry lives).
 _TLB_SPARE_COLS = 2
 _TLB_VALID_COL = 31
-
-LIVENESS_CACHE_SIZE = 2
-
 
 class _Timeline:
     """Program-ordered, run-compressed event timelines keyed by cell.
@@ -519,21 +520,26 @@ class _RecordingValues(list):
 def build_liveness_trace(
     workload: Workload, core_cfg: CoreConfig = DEFAULT_CONFIG
 ) -> LivenessTrace:
-    """Replay *workload*'s golden run once with lifetime instrumentation.
+    """Run *workload*'s golden run once with lifetime instrumentation.
 
-    The instrumented replay is sanity-checked against the cached golden
-    result: any divergence (a hook perturbing simulation) aborts rather
-    than silently mispruning.
+    With no golden result cached, the instrumented pass is validated and
+    cached as the golden run.  Otherwise (or on a ``check_invariants``
+    platform, which keeps its own golden run) it is checked against that
+    result: a divergence (a hook perturbing simulation) aborts.
     """
     from repro.core.occupancy import snapshot_bits
 
-    golden = golden_run(workload, core_cfg)
     # Observation-only knobs are canonicalised away like cell_key does:
     # the traced machine must be the plain platform.
     platform = dataclasses.replace(core_cfg, check_invariants=False)
+    golden_key = (workload.name, platform)
+    golden = (
+        golden_run(workload, core_cfg) if core_cfg != platform
+        else _cached_golden(golden_key)
+    )
     system = System(platform)
     system.load(workload.program())
-    trace = LivenessTrace(workload.name, golden.cycles)
+    trace = LivenessTrace(workload.name, 0)  # cycles known after the run
     core = system.core
     tracer = _CacheTracer(core)
     # Every level moves whole lines of one size, so a byte keeps its
@@ -562,7 +568,9 @@ def build_liveness_trace(
     )
     core.prf.values = _RecordingValues(core.prf.values, core, regfile_timeline)
     result = system.run(max_cycles=GOLDEN_MAX_CYCLES)
-    if (
+    if golden is None:
+        golden = _keep_golden(workload, golden_key, result)
+    elif (
         result.status != golden.status
         or result.cycles != golden.cycles
         or result.output != golden.output
@@ -578,11 +586,14 @@ def build_liveness_trace(
             f"liveness trace of {workload.name} ended with a line copy "
             "that no fill installed"
         )
+    trace.golden_cycles = golden.cycles
     trace.live_bits = snapshot_bits(system)
     return trace
 
 
-_LIVENESS_CACHE: _BoundedCache = _BoundedCache(LIVENESS_CACHE_SIZE)
+#: Every adaptive wave visits the workloads in the same order: a bound
+#: below their number would rebuild each trace every wave.
+_LIVENESS_CACHE: _BoundedCache = _BoundedCache(GOLDEN_CACHE_SIZE)
 
 
 def liveness_for(

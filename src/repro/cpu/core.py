@@ -25,7 +25,7 @@ import heapq
 from collections import deque
 
 from repro.isa.encoding import decode
-from repro.isa.opcodes import Op
+from repro.isa.opcodes import Format, Op
 from repro.isa.semantics import ALU_OPS, BRANCH_CONDS, ArithmeticFault
 from repro.isa.registers import NUM_ARCH_REGS
 from repro.kernel.status import CrashReason, RunResult, RunStatus
@@ -465,7 +465,7 @@ class OutOfOrderCore(Restorable):
         vals = [values[src] & MASK32 for src in uop.srcs]
 
         if op in ALU_OPS:
-            imm_form = inst.fmt.value == "i"
+            imm_form = inst.fmt is Format.I
             a = vals[0]
             b = (inst.imm & MASK32) if imm_form else vals[1]
             try:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from repro.errors import VerificationError
 from repro.isa.encoding import decode
-from repro.isa.opcodes import Op
+from repro.isa.opcodes import Format, Op
 from repro.isa.program import Program
 from repro.isa.registers import NUM_ARCH_REGS, SP
 from repro.isa.semantics import ALU_OPS, BRANCH_CONDS, ArithmeticFault
@@ -232,7 +232,7 @@ class ReferenceExecutor:
 
         if op in ALU_OPS:
             a = regs[inst.reads[0]]
-            b = (inst.imm & MASK32) if inst.fmt.value == "i" \
+            b = (inst.imm & MASK32) if inst.fmt is Format.I \
                 else regs[inst.reads[1]]
             try:
                 value = ALU_OPS[op](a, b)

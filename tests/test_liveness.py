@@ -8,11 +8,14 @@ end-to-end equality over both curated and fuzzed programs, and the
 ``--verify`` audit that re-simulates pruned verdicts.
 """
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.core import campaign
+from repro.core import liveness as liveness_module
+from repro.core.adaptive import ADAPTIVE_BATCH, run_campaign_adaptive
 from repro.core.campaign import (
     CampaignConfig,
     InjectionPlan,
@@ -31,13 +34,13 @@ from repro.core.liveness import (
     build_liveness_trace,
     liveness_for,
 )
-from repro.errors import VerificationError
+from repro.errors import ConfigError, VerificationError
 from repro.cpu.config import DEFAULT_CONFIG
 from repro.cpu.system import System
 from repro.isa.assembler import assemble
 from repro.mem.paging import PAGE_SHIFT, PAGE_SIZE
 from repro.verify.fuzz import ProgramFuzzer
-from repro.workloads import get_workload
+from repro.workloads import get_workload, workload_names
 from repro.workloads.base import Workload
 
 
@@ -120,6 +123,143 @@ def test_liveness_cache_hits():
         assert counters["exec.lru.liveness.hits"].value >= 2
     finally:
         obs.disable()
+
+
+# -- the traced pass as the golden run ----------------------------------------
+
+
+@pytest.fixture
+def cold_caches(monkeypatch):
+    """Empty golden, checkpoint and liveness caches, each of its module's
+    bound, for one test (the session's warm ones come back afterwards)."""
+    for module, name in (
+        (campaign, "_GOLDEN_CACHE"), (campaign, "_CHECKPOINT_CACHE"),
+        (liveness_module, "_LIVENESS_CACHE"),
+    ):
+        bound = getattr(module, name).maxsize
+        monkeypatch.setattr(module, name, campaign._BoundedCache(bound))
+
+
+@pytest.mark.parametrize("name", workload_names())
+def test_traced_pass_equals_plain_golden_run(name, cold_caches, monkeypatch):
+    # On a cold golden cache the instrumented pass becomes the golden run,
+    # so the hooks must not change a single observable of the run.
+    workload = get_workload(name)
+    build_liveness_trace(workload)
+    traced = campaign._GOLDEN_CACHE.get((name, DEFAULT_CONFIG))
+    assert traced is not None
+    monkeypatch.setattr(campaign, "_GOLDEN_CACHE", campaign._BoundedCache(1))
+    plain = golden_run(workload)
+    assert plain is not traced
+    # Every field: status, cycles, instructions, output, exit code, stats.
+    assert traced == plain
+
+
+def _count_simulations(monkeypatch, programs) -> list[str]:
+    """Record which of *programs* every ``System.run``/``run_until`` call
+    simulates."""
+    names = {get_workload(name).program().text: name for name in programs}
+    loaded = {}
+    real_load = System.load
+
+    def load(system, program):
+        loaded[id(system)] = names.get(program.text, "?")
+        return real_load(system, program)
+
+    monkeypatch.setattr(System, "load", load)
+    calls = []
+    for method in ("run", "run_until"):
+        real = getattr(System, method)
+
+        def counted(system, *args, _real=real, **kwargs):
+            calls.append(loaded.get(id(system), "?"))
+            return _real(system, *args, **kwargs)
+
+        monkeypatch.setattr(System, method, counted)
+    return calls
+
+
+def test_cold_pruned_setup_simulates_each_program_once(
+    cold_caches, monkeypatch
+):
+    from repro import obs
+
+    programs = ("stringsearch", "susan_c")
+    config = CampaignConfig(
+        workloads=programs, components=("l2",), cardinalities=(1,),
+        samples=0,
+    )
+    calls = _count_simulations(monkeypatch, programs)
+    telemetry = obs.enable()
+    try:
+        for program in programs:
+            run_cell(program, "l2", 1, config, prune=True)
+        assert sorted(calls) == sorted(programs)
+        counters = telemetry.metrics.counters
+        assert counters["exec.lru.golden.misses"].value == len(programs)
+        # An unpruned cell of the same program reuses the traced pass.
+        hits = counters["exec.lru.golden.hits"].value
+        run_cell(programs[0], "regfile", 1, config)
+        assert counters["exec.lru.golden.hits"].value == hits + 1
+        assert counters["exec.lru.golden.misses"].value == len(programs)
+        assert len(calls) == len(programs)
+    finally:
+        obs.disable()
+
+
+def _perturb_l1d_latency(monkeypatch):
+    """Make the trace builder's cache hook slow every l1d hit by a cycle."""
+    real = liveness_module._hook_cache
+
+    def perturbing(cache, level, tracer):
+        real(cache, level, tracer)
+        if cache.name == "l1d":
+            cache.hit_latency += 1
+
+    monkeypatch.setattr(liveness_module, "_hook_cache", perturbing)
+
+
+def test_perturbing_hook_is_rejected_against_a_cached_golden_run(
+    cold_caches, monkeypatch
+):
+    workload = get_workload("stringsearch")
+    golden_run(workload)
+    _perturb_l1d_latency(monkeypatch)
+    with pytest.raises(ConfigError, match="perturbed the golden run"):
+        build_liveness_trace(workload)
+
+
+def test_perturbing_hook_is_rejected_on_the_verify_platform(
+    cold_caches, monkeypatch
+):
+    # --verify runs on a check_invariants platform with its own golden
+    # key: its golden run is simulated separately and checked against.
+    verify_cfg = dataclasses.replace(DEFAULT_CONFIG, check_invariants=True)
+    _perturb_l1d_latency(monkeypatch)
+    with pytest.raises(ConfigError, match="perturbed the golden run"):
+        build_liveness_trace(get_workload("stringsearch"), verify_cfg)
+    # The rejected pass was never cached as the plain platform's golden.
+    assert campaign._GOLDEN_CACHE.get(("stringsearch", DEFAULT_CONFIG)) \
+        is None
+
+
+def test_adaptive_waves_build_each_trace_once(cold_caches, monkeypatch):
+    programs = ("stringsearch", "susan_c", "crc32")
+    built = []
+    real = liveness_module.build_liveness_trace
+
+    def counted(workload, core_cfg=DEFAULT_CONFIG):
+        built.append(workload.name)
+        return real(workload, core_cfg)
+
+    monkeypatch.setattr(liveness_module, "build_liveness_trace", counted)
+    config = CampaignConfig(
+        workloads=programs, components=("regfile",), cardinalities=(1,),
+        samples=2 * ADAPTIVE_BATCH, seed=3,
+    )
+    report = run_campaign_adaptive(config, ci_target=0.0, prune=True)
+    assert len(report.cells) == len(programs)
+    assert sorted(built) == sorted(programs)
 
 
 # -- pruned == full, curated workloads ----------------------------------------
