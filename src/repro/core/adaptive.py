@@ -30,7 +30,8 @@ so ``--jobs N`` results equal serial results byte-for-byte.  With
 never reaches the target: no cell stops early, no budget moves, and the
 result is byte-identical to the exact-replay campaign — the degeneracy
 the tests pin.  Waves are supervised like any campaign: contained
-incidents are journalled and counted in the result.
+incidents are journalled and counted in the result, and every wave runs
+under the one supervisor, so the incident budget spans the campaign.
 
 Adaptive cells intentionally have *no* fixed sample count, so they do not
 fit the exact-parameter cache key of :class:`~repro.core.campaign.
@@ -172,7 +173,7 @@ def run_campaign_adaptive(
     :func:`~repro.core.campaign.run_campaign`); allocation depends only on
     merged counts, so the result is identical for every job count and
     backend.  *supervisor* contains infra failures as incidents, exactly
-    as in a fixed-budget campaign.
+    as in a fixed-budget campaign; its budget spans every wave.
     """
     if ci_target < 0:
         raise ConfigError(f"ci_target must be >= 0: {ci_target}")

@@ -45,6 +45,7 @@ from repro.workloads.base import Workload
 
 if TYPE_CHECKING:
     from repro.core.liveness import LivenessTrace
+    from repro.core.supervisor import Supervisor
 
 DEFAULT_CARDINALITIES = (1, 2, 3)
 
@@ -284,10 +285,10 @@ RESULT_SCHEMA = 2
 class CampaignResult:
     """All cells of a campaign plus the analysis entry points.
 
-    ``incidents`` counts the infra failures the supervisor contained while
-    producing these cells (0 for unsupervised or incident-free runs); it
-    travels with the serialised result so downstream consumers can judge
-    how many samples each cell is missing.
+    ``incidents`` counts the samples the run that produced these cells
+    lost to contained incidents (0 for an incident-free run); it travels
+    with the serialised result so downstream consumers can judge how many
+    samples each cell is missing.
     """
 
     def __init__(
@@ -492,8 +493,9 @@ class InjectionPlan:
     :class:`CheckpointedWorkload` of the same machine) skip re-simulating
     most of each golden prefix; *liveness* (a
     :class:`~repro.core.liveness.LivenessTrace`) prunes provably-dead
-    masks; *verify* adds the oracle cross-checks; *max_steps* arms the
-    step-count watchdog on the faulty run.  None of these changes a
+    masks; *verify* adds the oracle cross-checks; *max_steps* is the
+    step-count watchdog of the faulty run, which :meth:`build` always
+    arms.  None of these changes a
     verdict, so every plan of one cell yields the same bytes.  Build plans
     with :meth:`build`, which enforces the rules between the options.
     """
@@ -526,15 +528,14 @@ class InjectionPlan:
         checkpoints: "CheckpointedWorkload | bool" = False,
         prune: bool = False,
         verify: bool = False,
-        watchdog: bool = False,
     ) -> "InjectionPlan":
         """The plan of one cell of *workload* on a *cores*-core machine.
 
         *checkpoints* is a snapshot set of that machine, ``True`` for the
         shared cached one, or ``False`` for none.  *prune* builds (or
         fetches) the liveness trace; *verify* first cross-checks the
-        fault-free run against the ISA-level reference oracle; *watchdog*
-        derives the step budget from the golden run.
+        fault-free run against the ISA-level reference oracle.  The
+        watchdog's step budget derives from the golden run.
         """
         cls.check(cores, prune)
         if (
@@ -566,10 +567,7 @@ class InjectionPlan:
             checkpoints=checkpoints or None,
             liveness=liveness,
             verify=verify,
-            max_steps=(
-                TIMEOUT_FACTOR * golden.cycles + WATCHDOG_SLACK_STEPS
-                if watchdog else None
-            ),
+            max_steps=TIMEOUT_FACTOR * golden.cycles + WATCHDOG_SLACK_STEPS,
         )
 
     def system_at(self, workload: Workload, cycle: int):
@@ -833,7 +831,7 @@ def run_cell(
     config: CampaignConfig,
     core_cfg: CoreConfig = DEFAULT_CONFIG,
     *,
-    supervisor: "SupervisorLike | None" = None,
+    supervisor: "Supervisor | None" = None,
     store: "CampaignStore | None" = None,
     cell_key: str | None = None,
     checkpoint_every: int | None = DEFAULT_CHECKPOINT_EVERY,
@@ -863,22 +861,25 @@ def run_cell(
     reproducing the uninterrupted run bit-for-bit; without it the cell
     opens at sample 0, which is when ``sim.cells`` counts it.  With
     *store* and *cell_key*, mid-cell progress is checkpointed every
-    *checkpoint_every* samples.  With *supervisor*, each injection runs
-    inside its isolation boundary under the supervisor's watchdog: infra
-    failures become journalled incidents instead of aborting the cell
-    (such samples are dropped from the histogram — they are not fault
-    effects, so ``counts.total`` may be less than ``samples_done``).
+    *checkpoint_every* samples.  Each injection runs inside
+    *supervisor*'s isolation boundary (default ``Supervisor(strict=True)``:
+    an in-memory journal that escalates the first incident) under the
+    plan's step watchdog.  A contained infra failure becomes a journalled
+    incident instead of aborting the cell; its sample is dropped from the
+    histogram — it is not a fault effect, so ``counts.total`` may be less
+    than ``samples_done``.
     *stop* is probed between samples; when it returns true the cell
     flushes one final checkpoint (so a later resume is bit-identical) and
     raises :class:`~repro.errors.CampaignInterrupted` — the graceful-drain
     hook of the parallel executor and of Ctrl-C handling.
     """
+    if supervisor is None:
+        supervisor = _strict_supervisor()
     tel = obs.active()
     workload = get_workload(workload_name)
     plan = InjectionPlan.build(
         workload, core_cfg, cores=config.cores, checkpoints=True,
         prune=prune, verify=verify,
-        watchdog=supervisor is not None,
     )
     cell_seed = f"{config.seed}:{workload_name}:{component}:{cardinality}"
     generator = MultiBitFaultGenerator(
@@ -921,16 +922,10 @@ def run_cell(
                     f"sample {index}/{config.samples}"
                 )
             inject_cycle = cycle_rng.randrange(plan.golden.cycles)
-            if supervisor is not None:
-                fault_class = supervisor.run_injection(
-                    workload, component, generator, cardinality, inject_cycle,
-                    plan, cell_seed=cell_seed, sample_index=index,
-                )
-            else:
-                fault_class, _, _ = run_one_injection(
-                    workload, component, generator, cardinality, inject_cycle,
-                    plan,
-                )
+            fault_class = supervisor.run_injection(
+                workload, component, generator, cardinality, inject_cycle,
+                plan, cell_seed=cell_seed, sample_index=index,
+            )
             if fault_class is not None:
                 counts.add(fault_class)
                 if tel is not None:
@@ -954,6 +949,13 @@ def run_cell(
     return state(config.samples)
 
 
+def _strict_supervisor() -> "Supervisor":
+    """The default supervisor: in-memory journal, first incident fatal."""
+    from repro.core.supervisor import Supervisor
+
+    return Supervisor(strict=True)
+
+
 def run_task(
     task: CellTask, config: CampaignConfig,
     core_cfg: CoreConfig = DEFAULT_CONFIG, **options,
@@ -973,7 +975,7 @@ def run_tasks(
     *,
     jobs: int = 1,
     store: "CampaignStore | None" = None,
-    supervisor: "SupervisorLike | None" = None,
+    supervisor: "Supervisor | None" = None,
     done: Callable[[CellTask, CellCheckpoint], None] | None = None,
     checkpoint_every: int | None = DEFAULT_CHECKPOINT_EVERY,
     verify: bool = False,
@@ -993,10 +995,15 @@ def run_tasks(
     handling and *chaos* (a :class:`~repro.core.chaos.ChaosSpec`, pooled
     runs only) injecting faults into it.  Every task runs through
     :func:`run_cell` either way, so end states do not depend on *jobs* or
-    *backend*.  Each finished cell's result goes to *store* (under the
-    task's cell key) before *done* hears of its end state; the remaining
-    keywords are :func:`run_cell`'s.
+    *backend*.  Every incident, a worker's or the fabric's included, goes
+    to the one *supervisor* (default ``Supervisor(strict=True)``), which
+    journals, counts and escalates it; an escalation aborts the call.
+    Each finished cell's result goes to *store* (under the task's cell
+    key) before *done* hears of its end state; the remaining keywords are
+    :func:`run_cell`'s.
     """
+    if supervisor is None:
+        supervisor = _strict_supervisor()
     if chaos is not None and jobs < 2:
         raise ConfigError(
             "chaos events fire in pool workers: they need jobs >= 2 "
@@ -1009,8 +1016,6 @@ def run_tasks(
         policy = policy if policy is not None else ResiliencePolicy()
         spec = WorkerSpec(
             config=config, core_cfg=core_cfg,
-            supervised=supervisor is not None,
-            strict=bool(getattr(supervisor, "strict", False)),
             checkpoint_every=checkpoint_every,
             telemetry_enabled=obs.active() is not None,
             verify=verify, prune=prune,
@@ -1090,25 +1095,13 @@ class CampaignCells:
         )
 
 
-class SupervisorLike:
-    """Interface :func:`run_cell` expects of a supervisor (duck-typed).
-
-    The real implementation lives in :mod:`repro.core.supervisor`; this
-    stub only documents the contract and keeps campaign.py import-free of
-    the supervisor layer.
-    """
-
-    def run_injection(self, *args, **kwargs) -> FaultClass | None:
-        raise NotImplementedError  # pragma: no cover
-
-
 def run_campaign(
     config: CampaignConfig,
     progress: ProgressFn | None = None,
     store: "CampaignStore | None" = None,
     core_cfg: CoreConfig = DEFAULT_CONFIG,
     *,
-    supervisor: "SupervisorLike | None" = None,
+    supervisor: "Supervisor | None" = None,
     checkpoint_every: int | None = DEFAULT_CHECKPOINT_EVERY,
     jobs: int = 1,
     verify: bool = False,
@@ -1130,8 +1123,9 @@ def run_campaign(
     every cell; results stay byte-identical to a non-verify run.  *prune*
     turns on liveness mask pruning (see :func:`run_cell`); results again
     stay byte-identical, which is why neither flag enters the cell cache
-    key.  The result's ``incidents`` counts the samples this call lost to
-    contained incidents.
+    key.  *supervisor* is :func:`run_tasks`'s: without one, the first
+    incident aborts the campaign.  The result's ``incidents`` counts the
+    samples this call lost to contained incidents.
     """
     cells = CampaignCells(config, store, core_cfg, progress)
     tel = obs.active()

@@ -28,9 +28,14 @@ worker → parent   ``("ready", wid)`` · ``("progress", wid, cpu_s)`` ·
                   ``("partial", wid, index, key, checkpoint)`` ·
                   ``("cell", wid, index, end_state)`` ·
                   ``("telemetry", wid, index|None, delta, events)`` ·
-                  ``("incident", wid, data)`` ·
+                  ``("incident", wid, data, cause)`` ·
                   ``("fatal", wid, index, type, detail)`` ·
                   ``("stopped", wid)`` · ``("bye", wid)``
+
+A worker contains each injection in a forwarding supervisor that sends
+the incident (with its exception, when that pickles) to the parent
+instead of journalling it: the parent's supervisor is the only one that
+journals, counts and escalates, so a worker needs no incident policy.
 
 Every worker runs a progress reporter thread that sends its CPU time
 (less the reporter's own) every ``report_interval``.  The value
@@ -47,6 +52,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import multiprocessing
+import pickle
 import queue as queue_module
 import signal
 import threading
@@ -65,8 +71,9 @@ from repro.core.campaign import (
     run_task,
 )
 from repro.core.chaos import ChaosSpec
+from repro.core.supervisor import Supervisor
 from repro.cpu.config import CoreConfig
-from repro.errors import CampaignInterrupted, InjectionIncident
+from repro.errors import CampaignInterrupted
 
 
 #: Fraction of a retry's backoff added as deterministic jitter (at most).
@@ -145,8 +152,6 @@ class WorkerSpec:
 
     config: CampaignConfig
     core_cfg: CoreConfig
-    supervised: bool
-    strict: bool
     checkpoint_every: int | None
     telemetry_enabled: bool
     verify: bool
@@ -160,15 +165,23 @@ class WorkerSpec:
 # ---------------------------------------------------------------------------
 
 
-class _SendJournal:
-    """Worker-side incident journal: forwards every record to the parent."""
+class _ForwardingSupervisor(Supervisor):
+    """Worker-side supervisor: contains each injection like any other,
+    but forwards its incident to the parent, whose supervisor alone
+    journals, counts and escalates it.  The contained exception travels
+    along as the escalation's cause when it survives pickling."""
 
     def __init__(self, send: Callable, worker_id: int) -> None:
+        super().__init__()
         self._send = send
         self._worker_id = worker_id
 
-    def append(self, incident) -> None:
-        self._send(("incident", self._worker_id, incident.as_dict()))
+    def record(self, incident, cause=None) -> None:
+        try:
+            pickle.loads(pickle.dumps(cause))
+        except Exception:  # noqa: BLE001 - an unpicklable cause stays here
+            cause = None
+        self._send(("incident", self._worker_id, incident.as_dict(), cause))
 
 
 class _SendStore:
@@ -315,15 +328,7 @@ def _serve_batches(
     obs.disable()
     tel = obs.enable() if spec.telemetry_enabled else None
     shipper = _TelemetryShipper(send, worker_id, tel)
-    supervisor = None
-    if spec.supervised:
-        from repro.core.supervisor import Supervisor
-
-        supervisor = Supervisor(
-            journal=_SendJournal(send, worker_id),
-            max_incidents=None,  # the parent enforces the global budget
-            strict=spec.strict,
-        )
+    supervisor = _ForwardingSupervisor(send, worker_id)
     send(("ready", worker_id))
     while True:
         wait_begin = time.perf_counter() if tel is not None else 0.0
@@ -363,14 +368,6 @@ def _serve_batches(
                     # as extra simulation.
                     shipper.ship(task.index)
                     send(("stopped", worker_id))
-                    return
-                except InjectionIncident as exc:
-                    # --strict escalation: the incident itself was already
-                    # forwarded by the send journal; tell the parent to
-                    # abort.
-                    shipper.ship()
-                    send(("fatal", worker_id, task.index,
-                          type(exc).__name__, str(exc)))
                     return
                 except Exception as exc:  # noqa: BLE001 - must not hang the pool
                     shipper.ship()

@@ -50,16 +50,19 @@ Architecture (one parent, N workers behind a pluggable backend):
   backoff with deterministic jitter.  A cell that fails
   ``max_attempts`` times is **quarantined** as a ``poison-cell``
   incident: its last streamed checkpoint becomes its (short) result, the
-  missing samples count as lost, and the campaign survives — aborting
-  only under ``--strict``/``--max-incidents``.
+  missing samples count as lost, and the campaign survives — unless the
+  supervisor escalates the incident (``--strict``/``--max-incidents``).
 * **Graceful degradation.**  Worker deaths beyond the restart budget stop
   the respawning: the pool shrinks, and when it reaches zero the parent
   finishes the remaining (non-quarantined) cells serially in-process
   through :func:`~repro.core.campaign.run_tasks` — a failing backend
   degrades a campaign's speed, never its answer.
 * **Incident forwarding, telemetry streaming, graceful Ctrl-C/SIGTERM**
-  — the parent enforces the global ``--max-incidents``/``--strict``
-  budget, merges per-cell metric deltas in canonical order, reports each
+  — the parent hands every incident a worker forwards, and every fabric
+  incident (worker crash, stall, poison cell), to the campaign's one
+  :class:`~repro.core.supervisor.Supervisor`, which journals, counts and
+  escalates it; its raise becomes the scheduler's abort.  The parent
+  also merges per-cell metric deltas in canonical order, reports each
   finished task to its caller (which fires progress in canonical order),
   and on SIGINT/SIGTERM drains final checkpoints so a rerun on the same
   store continues bit-identically.
@@ -94,7 +97,8 @@ from repro.core.executor import (
     WorkerSpec,
     create_backend,
 )
-from repro.errors import IncidentBudgetExceeded, InjectionIncident
+from repro.core.supervisor import Incident
+from repro.errors import InjectionIncident
 from repro.workloads import get_workload
 
 #: How long the parent waits on the backend before running its liveness /
@@ -139,9 +143,9 @@ def _affinity_batches(tasks: list[CellTask], jobs: int) -> list[list[CellTask]]:
 
 class _Scheduler:
     """One list of cell tasks' resilient parent loop over an executor
-    backend, running every task as *spec* describes; :meth:`run` reports
-    each end state to *done* and returns the samples lost to contained
-    incidents."""
+    backend, running every task as *spec* describes under *supervisor*;
+    :meth:`run` reports each end state to *done* and returns the samples
+    lost to contained incidents."""
 
     def __init__(
         self,
@@ -167,10 +171,6 @@ class _Scheduler:
 
         self.tasks: dict[int, CellTask] = {task.index: task for task in tasks}
         self.results: dict[int, CellCheckpoint] = {}
-
-        # Supervisor-derived knobs (duck-typed, like the serial path).
-        self.max_incidents = getattr(supervisor, "max_incidents", None)
-        self.journal = getattr(supervisor, "journal", None)
 
         # Pool / dispatch state.
         self.backend: ExecutorBackend | None = None
@@ -199,8 +199,7 @@ class _Scheduler:
         }
 
         # Accounting.
-        self.total_incidents = 0
-        self.lost_sample_incidents = 0
+        self.lost_samples = 0
         self.abort_exc: Exception | None = None
 
         # Telemetry.
@@ -227,22 +226,17 @@ class _Scheduler:
         task = self.tasks[index]
         return f"{task.workload}/{task.component}/{task.cardinality}-bit"
 
-    def _record_incident(self, incident) -> None:
-        if self.journal is not None:
-            self.journal.append(incident)
-        if self.supervisor is not None:
-            self.supervisor.incident_count += 1
-
-    def _journal_only(self, incident) -> None:
-        """Bookkeeping incidents (retries, degradation notes): journalled
-        for the audit trail, never counted against the incident budget —
-        the originating failure already was."""
-        if self.journal is not None:
-            self.journal.append(incident)
+    def _incident(self, incident, cause=None) -> None:
+        """Hand *incident* to the supervisor, which journals, counts and
+        escalates it; an escalation aborts the run.  Bookkeeping records
+        (retries, degradation notes) skip this and go to the journal
+        alone: the failure behind them was already counted."""
+        try:
+            self.supervisor.record(incident, cause)
+        except InjectionIncident as exc:
+            self.abort_exc = exc
 
     def _fabric_incident(self, kind, index, error_type, message, details):
-        from repro.core.supervisor import Incident
-
         task = self.tasks.get(index)
         workload, component, cardinality = (
             (task.workload, task.component, task.cardinality)
@@ -275,28 +269,26 @@ class _Scheduler:
         )
 
     def _finish(self, index: int, state: CellCheckpoint) -> None:
-        """Record a task's end state and report it to the caller."""
+        """Record a task's end state, count the samples it lost, and
+        report it to the caller."""
+        task = self.tasks[index]
+        # From end states alone, as in-process runs count them: a sample
+        # that a retry reran and lost again is lost once.
+        self.lost_samples += (
+            task.samples - state.counts.total
+            - (task.start.lost if task.start else 0)
+        )
         self.results[index] = state
         self.pending_done.discard(index)
         self.live.pop(index, None)
         if self.done is not None:
-            self.done(self.tasks[index], state)
+            self.done(task, state)
 
     def _alive_ids(self) -> list[int]:
         return [
             wid for wid, handle in self.handles.items()
             if wid not in self.retired and handle.alive()
         ]
-
-    def _budget_abort(self, last_message: str) -> None:
-        if (
-            self.max_incidents is not None
-            and self.total_incidents > self.max_incidents
-        ):
-            self.abort_exc = IncidentBudgetExceeded(
-                f"{self.total_incidents} incidents exceed the budget of "
-                f"{self.max_incidents} (last: {last_message})"
-            )
 
     # -- pool management ---------------------------------------------------
 
@@ -314,7 +306,7 @@ class _Scheduler:
         if self.degraded:
             return
         self.degraded = True
-        self._journal_only(self._fabric_incident(
+        self.supervisor.journal.append(self._fabric_incident(
             "degraded", None, "WorkerCrash",
             f"worker pool degraded — no further replacements will be "
             f"spawned ({reason}); remaining cells finish on the shrinking "
@@ -352,7 +344,7 @@ class _Scheduler:
     # -- failure handling --------------------------------------------------
 
     def _worker_death(self, worker_id: int, kind: str, cause: str) -> None:
-        """A worker died (or was killed for stalling): journal, count,
+        """A worker died (or was killed for stalling): report the incident,
         reschedule its in-flight cells, and replace it within budget."""
         handle = self.handles[worker_id]
         handle.kill()
@@ -369,7 +361,7 @@ class _Scheduler:
             else f"made no CPU progress for {self.policy.hang_timeout:g}s "
             f"and was killed"
         )
-        incident = self._fabric_incident(
+        self._incident(self._fabric_incident(
             kind,
             remaining[0].index if remaining else None,
             "WorkerCrash" if kind == "worker-crash" else "WorkerHang",
@@ -380,19 +372,7 @@ class _Scheduler:
             {"worker": worker_id, "exitcode": handle.exitcode(),
              "cause": cause, "lost_deltas": lost_deltas,
              "rescheduled": [task.index for task in remaining]},
-        )
-        self._record_incident(incident)
-        self.total_incidents += 1
-        self._counter("exec.incidents")
-        self._counter("exec.incidents." + kind)
-        self._instant(
-            kind, worker=worker_id, exitcode=handle.exitcode(),
-            rescheduled=len(remaining),
-        )
-        if self.spec.strict:
-            self.abort_exc = InjectionIncident(f"[strict] {incident.message}")
-            return
-        self._budget_abort(incident.message)
+        ))
         if self.abort_exc is not None:
             return
         self._reschedule(remaining, cause=kind, worker=worker_id)
@@ -420,7 +400,7 @@ class _Scheduler:
                 (now + delay, self._retry_seq, [self._retry_task(index)]),
             )
             self._retry_seq += 1
-            self._journal_only(self._fabric_incident(
+            self.supervisor.journal.append(self._fabric_incident(
                 "retry", index, "Reschedule",
                 f"attempt {attempt + 1} of {self._cell_label(index)} "
                 f"scheduled after {delay:.3f}s backoff (cause: {cause})",
@@ -451,9 +431,10 @@ class _Scheduler:
             )
         done = state.samples_done
         lost = max(0, task.samples - done)
-        self.lost_sample_incidents += lost
         attempts = self.attempts.get(index, 0)
-        incident = self._fabric_incident(
+        self._counter("exec.quarantined")
+        self._finish(index, state)
+        self._incident(self._fabric_incident(
             "poison-cell", index, "PoisonCell",
             f"cell {self._cell_label(index)} failed {attempts} "
             f"attempt(s) (last cause: {cause}) and was quarantined; "
@@ -461,21 +442,7 @@ class _Scheduler:
             f"{lost} lost",
             {"attempts": attempts, "cause": cause,
              "samples_kept": done, "samples_lost": lost},
-        )
-        self._record_incident(incident)
-        self.total_incidents += 1
-        self._counter("exec.incidents")
-        self._counter("exec.incidents.poison-cell")
-        self._counter("exec.quarantined")
-        self._instant(
-            "poison-cell", cell=self._cell_label(index), attempts=attempts,
-            lost=lost,
-        )
-        self._finish(index, state)
-        if self.spec.strict:
-            self.abort_exc = InjectionIncident(f"[strict] {incident.message}")
-            return
-        self._budget_abort(incident.message)
+        ))
 
     # -- dispatch ----------------------------------------------------------
 
@@ -611,13 +578,8 @@ class _Scheduler:
         elif kind == "telemetry":
             self._absorb_telemetry(message)
         elif kind == "incident":
-            _, _, data = message
-            from repro.core.supervisor import Incident
-
-            self._record_incident(Incident.from_dict(data))
-            self.total_incidents += 1
-            self.lost_sample_incidents += 1
-            self._budget_abort("worker-contained incident")
+            _, _, data, cause = message
+            self._incident(Incident.from_dict(data), cause)
         elif kind == "fatal":
             _, _, index, error_type, detail = message
             self._retire(worker_id)
@@ -657,7 +619,7 @@ class _Scheduler:
                 self._quarantine(task, "degraded")
                 continue
             try:
-                lost = run_tasks(
+                run_tasks(
                     [task], self.spec.config, self.spec.core_cfg,
                     store=self.store, supervisor=self.supervisor,
                     done=lambda task, state: self._finish(task.index, state),
@@ -667,8 +629,6 @@ class _Scheduler:
             except InjectionIncident as exc:
                 self.abort_exc = exc
                 return
-            self.total_incidents += lost
-            self.lost_sample_incidents += lost
 
     # -- shutdown paths ----------------------------------------------------
 
@@ -798,5 +758,5 @@ class _Scheduler:
             if self.store is not None:
                 self.store.compact()
             raise self.abort_exc
-        return self.lost_sample_incidents
+        return self.lost_samples
 

@@ -20,6 +20,12 @@ inside an isolation boundary:
   have been lost for its statistics to mean anything, and ``--strict``
   escalates the first incident immediately (for CI and debugging).
 
+:meth:`Supervisor.record` is the one incident policy: the supervisor's
+own contained injections, those a pool worker contains and forwards, and
+the executor fabric's worker crashes, stalls and poison cells all end
+there.  Every sample runs under a supervisor; without one, campaign code
+uses ``Supervisor(strict=True)``.
+
 Incidents are *not* fault effects: they never enter a cell's
 :class:`~repro.core.avf.ClassCounts`.  See DESIGN.md §6 for the containment
 model.
@@ -39,6 +45,7 @@ from repro.errors import (
     IncidentBudgetExceeded,
     InjectionIncident,
     SimAssertion,
+    WatchdogTimeout,
 )
 from repro import obs
 from repro.workloads.base import Workload
@@ -194,13 +201,19 @@ class IncidentJournal:
 
 @dataclass
 class Supervisor:
-    """Isolation boundary around individual injections.
+    """Isolation boundary around injections, and the one incident policy.
 
+    Every incident of a campaign ends in :meth:`record`, whichever layer
+    contained it: an injection this supervisor ran, one a pool worker
+    contained and forwarded, or a failure of the executor fabric.  That
+    is the one place incidents are journalled, counted and escalated.
     ``max_incidents=None`` means unlimited containment; ``strict=True``
     re-raises the first incident as :class:`InjectionIncident` (after
     journalling it).  The cells it supervises plan a step budget for
-    every faulty run (the watchdog).  ``incident_count`` counts this run
-    only — a resumed campaign's journal may hold more from earlier runs.
+    every faulty run (the watchdog).  ``incident_count`` and the budget
+    count over the supervisor's lifetime at every job count, so one
+    supervisor is one campaign (adaptive waves included); a resumed
+    campaign's journal may hold more incidents from earlier runs.
     """
 
     journal: IncidentJournal = field(default_factory=IncidentJournal)
@@ -244,40 +257,39 @@ class Supervisor:
             # while applying the mask) is still the deliberate Assert class.
             return FaultClass.ASSERT
         except Exception as exc:  # noqa: BLE001 - containment is the point
-            self._contain(
-                exc, workload, component, cardinality, cell_seed,
-                sample_index, inject_cycle, trace.get("mask"),
-            )
+            self.record(Incident(
+                kind=(
+                    "watchdog" if isinstance(exc, WatchdogTimeout)
+                    else "exception"
+                ),
+                workload=workload.name,
+                component=component,
+                cardinality=cardinality,
+                cell_seed=cell_seed,
+                sample_index=sample_index,
+                inject_cycle=inject_cycle,
+                mask=_mask_as_dict(trace.get("mask")),
+                error_type=type(exc).__name__,
+                message=str(exc),
+                traceback="".join(traceback_module.format_exception(
+                    type(exc), exc, exc.__traceback__
+                )),
+            ), exc)
             return None
 
-    def _contain(
-        self,
-        exc: Exception,
-        workload: Workload,
-        component: str,
-        cardinality: int,
-        cell_seed: str,
-        sample_index: int,
-        inject_cycle: int,
-        mask: FaultMask | None,
+    def record(
+        self, incident: Incident, cause: BaseException | None = None
     ) -> None:
-        from repro.errors import WatchdogTimeout
+        """Journal and count *incident*; escalate under strict or past
+        the budget.
 
-        incident = Incident(
-            kind="watchdog" if isinstance(exc, WatchdogTimeout) else "exception",
-            workload=workload.name,
-            component=component,
-            cardinality=cardinality,
-            cell_seed=cell_seed,
-            sample_index=sample_index,
-            inject_cycle=inject_cycle,
-            mask=_mask_as_dict(mask),
-            error_type=type(exc).__name__,
-            message=str(exc),
-            traceback="".join(
-                traceback_module.format_exception(type(exc), exc, exc.__traceback__)
-            ),
-        )
+        Each incident emits ``exec.incidents`` and
+        ``exec.incidents.<kind>`` once, plus an ``"incident"`` instant on
+        the trace timeline.  An escalation is an
+        :class:`InjectionIncident` (or its
+        :class:`IncidentBudgetExceeded`) raised from *cause*, the
+        exception that was contained, when there is one.
+        """
         self.journal.append(incident)
         self.incident_count += 1
         tel = obs.active()
@@ -290,14 +302,18 @@ class Supervisor:
                 "incident",
                 kind=incident.kind,
                 cell=incident.cell_label(),
-                sample=sample_index,
-                error=type(exc).__name__,
+                sample=incident.sample_index,
+                error=incident.error_type,
             )
         if self.strict:
+            where = incident.cell_label() + (
+                f" sample {incident.sample_index}"
+                if incident.sample_index >= 0 else ""
+            )
             raise InjectionIncident(
-                f"[strict] incident in {incident.cell_label()} sample "
-                f"{sample_index}: {type(exc).__name__}: {exc}"
-            ) from exc
+                f"[strict] incident in {where}: {incident.error_type}: "
+                f"{incident.message}"
+            ) from cause
         if (
             self.max_incidents is not None
             and self.incident_count > self.max_incidents
@@ -305,6 +321,6 @@ class Supervisor:
             raise IncidentBudgetExceeded(
                 f"{self.incident_count} incidents exceed the budget of "
                 f"{self.max_incidents}; campaign statistics are no longer "
-                f"trustworthy (last: {type(exc).__name__} in "
+                f"trustworthy (last: {incident.error_type} in "
                 f"{incident.cell_label()})"
-            ) from exc
+            ) from cause

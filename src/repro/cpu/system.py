@@ -158,16 +158,7 @@ class System(Restorable):
         try:
             return self.core.run(max_cycles, max_steps=max_steps)
         except SimAssertion as exc:
-            result = RunResult(
-                status=RunStatus.SIM_ASSERT,
-                cycles=self.core.cycle,
-                instructions=self.core.stats.committed,
-                output=bytes(self.kernel.output),
-                detail=str(exc),
-                stats=self.core.stats.as_dict(),
-            )
-            self.core.result = result
-            return result
+            return self._assert_result(exc)
 
     def run_until(
         self,
@@ -199,16 +190,22 @@ class System(Restorable):
                         f"{target_cycle}) — simulator livelock"
                     )
         except SimAssertion as exc:
-            self.core.result = RunResult(
-                status=RunStatus.SIM_ASSERT,
-                cycles=self.core.cycle,
-                instructions=self.core.stats.committed,
-                output=bytes(self.kernel.output),
-                detail=str(exc),
-                stats=self.core.stats.as_dict(),
-            )
+            self._assert_result(exc)
             return False
         return self.core.result is None
+
+    def _assert_result(self, exc: SimAssertion) -> RunResult:
+        """End the run on simulator assertion *exc*: the paper's Assert
+        class, recorded as the core's result."""
+        self.core.result = RunResult(
+            status=RunStatus.SIM_ASSERT,
+            cycles=self.core.cycle,
+            instructions=self.core.stats.committed,
+            output=bytes(self.kernel.output),
+            detail=str(exc),
+            stats=self.core.stats.as_dict(),
+        )
+        return self.core.result
 
 
 def run_program(

@@ -231,11 +231,10 @@ def test_quarantined_cell_is_not_granted_again(monkeypatch):
     # short (quarantined); granting it again would loop forever.
     import os
 
-    from repro.core import campaign
     from repro.core.executor import ResiliencePolicy
 
     parent = os.getpid()
-    real = campaign.run_one_injection
+    real = supervisor_module.run_one_injection
 
     def poison(workload, component, *args, **kwargs):
         if component == "itlb":
@@ -244,11 +243,16 @@ def test_quarantined_cell_is_not_granted_again(monkeypatch):
             raise RuntimeError("poison cell reached the parent")
         return real(workload, component, *args, **kwargs)
 
-    monkeypatch.setattr(campaign, "run_one_injection", poison)
+    monkeypatch.setattr(supervisor_module, "run_one_injection", poison)
     policy = ResiliencePolicy(retry_base_delay=0.01, retry_max_delay=0.05)
+    supervisor = Supervisor()
     report = run_campaign_adaptive(
         _config(samples=60), ci_target=0.3, jobs=2, policy=policy,
+        supervisor=supervisor,
     )
     assert report.result.cell("crc32", "itlb", 1).counts.total == 0
     assert report.result.cell("crc32", "regfile", 1).counts.total > 0
     assert report.result.incidents == ADAPTIVE_BATCH  # the lost first wave
+    kinds = [incident.kind for incident in supervisor.journal.incidents]
+    assert kinds.count("poison-cell") == 1
+    assert "exception" not in kinds  # the poison never reached the parent

@@ -39,7 +39,7 @@ CONFIG = CampaignConfig(
 
 def _spec() -> WorkerSpec:
     return WorkerSpec(
-        config=CONFIG, core_cfg=None, supervised=False, strict=False,
+        config=CONFIG, core_cfg=None,
         checkpoint_every=None, telemetry_enabled=False,
         verify=False,
     )

@@ -77,7 +77,7 @@ def test_backend_contains_worker_crash(backend, serial_reference, tmp_path):
 
 def test_create_backend_rejects_unknown_name():
     spec = WorkerSpec(
-        config=GRID, core_cfg=None, supervised=False, strict=False,
+        config=GRID, core_cfg=None,
         checkpoint_every=None, telemetry_enabled=False,
         verify=False,
     )

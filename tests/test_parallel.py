@@ -126,6 +126,32 @@ def test_worker_crash_respects_incident_budget(tmp_path):
         )
 
 
+def test_rerun_samples_count_their_incidents_once(tmp_path, monkeypatch):
+    """A worker killed after contained incidents: the retry reruns those
+    samples and contains them again, but the result's lost-sample count
+    (part of the result bytes) still equals the serial run's."""
+    from repro.core import supervisor as supervisor_module
+
+    def always(*args, **kwargs):
+        raise RuntimeError("every sample is lost")
+
+    monkeypatch.setattr(supervisor_module, "run_one_injection", always)
+    config = CampaignConfig(
+        workloads=("stringsearch",), components=("regfile",),
+        cardinalities=(1,), samples=4, seed=0,
+    )
+    serial = run_campaign(config, supervisor=Supervisor())
+    pooled = run_campaign(
+        config, jobs=2, supervisor=Supervisor(),
+        chaos=ChaosSpec(events=(ChaosEvent(
+            "kill", "stringsearch", "regfile", 1, ordinal=2,
+            flag=str(tmp_path / "crashed.flag"),
+        ),)),
+    )
+    assert serial.incidents == 4
+    assert pooled.to_json() == serial.to_json()
+
+
 def test_parallel_store_matches_serial_store_after_compaction(
     serial_reference, tmp_path
 ):

@@ -293,8 +293,7 @@ def test_worker_start_message_carries_the_smp_golden_cycles():
         samples=1, cores=2,
     )
     spec = WorkerSpec(
-        config=config, core_cfg=DEFAULT_CONFIG, supervised=False,
-        strict=False, checkpoint_every=None,
+        config=config, core_cfg=DEFAULT_CONFIG, checkpoint_every=None,
         telemetry_enabled=True, verify=False,
     )
     inbox = queue.Queue()

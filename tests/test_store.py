@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.core import campaign
+from repro.core import supervisor as supervisor_module
 from repro.core.avf import ClassCounts
 from repro.core.campaign import (
     CampaignConfig,
@@ -185,7 +186,7 @@ def test_partials_survive_compaction(tmp_path):
 
 def interrupt_after(monkeypatch, n_samples):
     """Let *n_samples* injections finish, then simulate a SIGINT."""
-    real = campaign.run_one_injection
+    real = supervisor_module.run_one_injection
     calls = {"count": 0}
 
     def flaky(*args, **kwargs):
@@ -194,7 +195,7 @@ def interrupt_after(monkeypatch, n_samples):
             raise KeyboardInterrupt
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(campaign, "run_one_injection", flaky)
+    monkeypatch.setattr(supervisor_module, "run_one_injection", flaky)
     return calls
 
 
@@ -220,13 +221,13 @@ def test_kill_mid_cell_then_resume_is_bit_identical(tmp_path, monkeypatch):
     resumed_store = CampaignStore(path)
     assert resumed_store.get_partial(key).samples_done == 6
     calls = {"count": 0}
-    real = campaign.run_one_injection
+    real = supervisor_module.run_one_injection
 
     def counting(*args, **kwargs):
         calls["count"] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(campaign, "run_one_injection", counting)
+    monkeypatch.setattr(supervisor_module, "run_one_injection", counting)
     resumed = run_cell(
         WORKLOAD, "regfile", 1, config,
         store=resumed_store, cell_key=key, checkpoint_every=3,
@@ -237,7 +238,7 @@ def test_kill_mid_cell_then_resume_is_bit_identical(tmp_path, monkeypatch):
     assert resumed.golden_cycles == uninterrupted.golden_cycles
 
 
-def test_resume_false_restarts_the_cell(tmp_path, monkeypatch):
+def test_cell_without_start_checkpoint_opens_at_sample_0(tmp_path, monkeypatch):
     config = CampaignConfig(
         workloads=(WORKLOAD,), components=("regfile",),
         cardinalities=(1,), samples=6, seed=5,
@@ -280,13 +281,13 @@ def test_campaign_killed_and_resumed_matches_uninterrupted(tmp_path, monkeypatch
     # The store holds the first cell and a 3-sample checkpoint of the
     # second (its fourth sample died): a rerun continues from there.
     calls = {"count": 0}
-    real = campaign.run_one_injection
+    real = supervisor_module.run_one_injection
 
     def counting(*args, **kwargs):
         calls["count"] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(campaign, "run_one_injection", counting)
+    monkeypatch.setattr(supervisor_module, "run_one_injection", counting)
     resumed = run_campaign(
         config, store=CampaignStore(path), checkpoint_every=3,
     )

@@ -89,10 +89,80 @@ def test_result_counts_only_this_runs_incidents(monkeypatch, jobs):
     assert sum(cell.counts.total for cell in second.cells) == 6
 
 
-def test_unsupervised_campaign_still_propagates(monkeypatch):
+# -- one incident policy at every job count --------------------------------------
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unsupervised_campaign_escalates_first_incident(monkeypatch, jobs):
+    """No supervisor means a strict one: the first incident aborts the
+    campaign as an InjectionIncident caused by the contained error."""
     sabotage_inject(monkeypatch, every=1)
-    with pytest.raises(RuntimeError):
-        run_campaign(tiny_config(samples=2))
+    with pytest.raises(InjectionIncident, match="strict") as raised:
+        run_campaign(tiny_config(samples=2), jobs=jobs)
+    assert isinstance(raised.value.__cause__, RuntimeError)
+    assert "sabotaged injection" in str(raised.value.__cause__)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_adaptive_waves_share_one_incident_budget(monkeypatch, jobs):
+    """One supervisor is one campaign: three 25-sample waves with one
+    incident each break a budget of two, however the waves are run."""
+    from repro.core.adaptive import ADAPTIVE_BATCH, run_campaign_adaptive
+
+    real = supervisor_module.run_one_injection
+    calls = {"count": 0}
+
+    def every_batch(*args, **kwargs):
+        # Per process: a pooled wave forks a fresh worker, so each wave
+        # fires once on either side.
+        calls["count"] += 1
+        if calls["count"] % ADAPTIVE_BATCH == 0:
+            raise RuntimeError("one contained incident per wave")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(supervisor_module, "run_one_injection", every_batch)
+    supervisor = Supervisor(max_incidents=2)
+    with pytest.raises(IncidentBudgetExceeded):
+        run_campaign_adaptive(
+            tiny_config(samples=3 * ADAPTIVE_BATCH), ci_target=0.0,
+            jobs=jobs, supervisor=supervisor,
+        )
+    assert supervisor.incident_count == 3
+    assert [i.kind for i in supervisor.journal.incidents] == ["exception"] * 3
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_contained_incident_is_counted_once_in_telemetry(monkeypatch, jobs):
+    """A worker forwards its incident to the parent's supervisor, and only
+    that supervisor emits the exec.incidents counters."""
+    from repro import obs
+
+    config = CampaignConfig(
+        workloads=(WORKLOAD,), components=("regfile", "itlb"),
+        cardinalities=(1,), samples=3, seed=3,
+    )
+    real = supervisor_module.run_one_injection
+    fired = []
+
+    def once(workload, component, *args, **kwargs):
+        if component == "itlb" and not fired:
+            fired.append(component)
+            raise RuntimeError("one contained incident")
+        return real(workload, component, *args, **kwargs)
+
+    monkeypatch.setattr(supervisor_module, "run_one_injection", once)
+    supervisor = Supervisor()
+    telemetry = obs.enable()
+    try:
+        result = run_campaign(config, supervisor=supervisor, jobs=jobs)
+        counters = telemetry.metrics.as_dict()["counters"]
+    finally:
+        obs.disable()
+    assert result.incidents == 1
+    assert supervisor.incident_count == 1
+    assert counters["exec.incidents"] == 1
+    assert counters["exec.incidents.exception"] == 1
+    assert counters["exec.samples_lost"] == 1
 
 
 def test_strict_mode_escalates_first_incident(monkeypatch):
