@@ -177,11 +177,18 @@ class _ForwardingSupervisor(Supervisor):
         self._worker_id = worker_id
 
     def record(self, incident, cause=None) -> None:
-        try:
-            pickle.loads(pickle.dumps(cause))
-        except Exception:  # noqa: BLE001 - an unpicklable cause stays here
-            cause = None
-        self._send(("incident", self._worker_id, incident.as_dict(), cause))
+        self._send((
+            "incident", self._worker_id, incident.as_dict(), _portable(cause)
+        ))
+
+
+def _portable(exc: BaseException | None) -> BaseException | None:
+    """*exc* if it survives a pickle round trip to the parent, else None."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:  # noqa: BLE001 - an unpicklable exception stays here
+        return None
+    return exc
 
 
 class _SendStore:
@@ -370,9 +377,12 @@ def _serve_batches(
                     send(("stopped", worker_id))
                     return
                 except Exception as exc:  # noqa: BLE001 - must not hang the pool
+                    # The parent re-raises the exception itself, as serial
+                    # execution would; the text covers an unpicklable one.
                     shipper.ship()
                     send(("fatal", worker_id, task.index, type(exc).__name__,
-                          f"{exc}\n{traceback_module.format_exc()}"))
+                          f"{exc}\n{traceback_module.format_exc()}",
+                          _portable(exc)))
                     return
                 # Telemetry first, completion second: messages from one
                 # worker arrive in order, so the parent still holds the

@@ -23,7 +23,11 @@ per-component bit-granular lifetime traces:
   refill = kill) plus each entry's birth cycle.  Decidability is
   field-sensitive — see :meth:`LivenessTrace.classify`.
 * **register file**: per-register timelines; operand/misc reads consume,
-  writebacks and misc writes kill the whole 32-bit word.
+  writebacks and misc writes kill the whole 32-bit word.  A ``SYS`` uop
+  reads ``r0``-``r2`` like any instruction, but only the arguments its
+  syscall number reads (:data:`~repro.kernel.syscalls.SYSCALL_ARG_COUNTS`)
+  count as consumed: the others reach nothing but ``Kernel.do_syscall``,
+  which ignores them.
 
 :meth:`LivenessTrace.classify` then decides an (mask, inject-cycle) fault
 per flipped bit — O(log n) for TLBs and registers, O(log n) per copy
@@ -55,6 +59,7 @@ from repro.core.faults import FaultMask
 from repro.errors import ConfigError
 from repro.cpu.config import DEFAULT_CONFIG, CoreConfig
 from repro.cpu.system import System
+from repro.kernel.syscalls import syscall_arg_count
 from repro.mem.tlb import VPN_SHIFT
 from repro.workloads.base import Workload
 
@@ -491,16 +496,24 @@ class _RecordingValues(list):
 
     All simulator reads/writes go through integer indexing (operand fetch,
     writeback, syscall return, misc save/restore), so ``__getitem__`` /
-    ``__setitem__`` cover every consumption and kill.
+    ``__setitem__`` cover every consumption and kill.  While a ``SYS`` uop
+    executes, *syscall_reads* counts the operand reads still to record; the
+    rest are argument registers its syscall never reads.
     """
 
     def __init__(self, values, core, timeline: _Timeline) -> None:
         super().__init__(values)
         self._core = core
         self._timeline = timeline
+        self.syscall_reads: int | None = None
 
     def __getitem__(self, index):
         if type(index) is int:
+            budget = self.syscall_reads
+            if budget is not None:
+                if not budget:
+                    return list.__getitem__(self, index)
+                self.syscall_reads = budget - 1
             key = index if index >= 0 else index + len(self)
             self._timeline.record(key, self._core.cycle, READ)
         return list.__getitem__(self, index)
@@ -510,6 +523,26 @@ class _RecordingValues(list):
             key = index if index >= 0 else index + len(self)
             self._timeline.record(key, self._core.cycle, KILL)
         list.__setitem__(self, index, value)
+
+
+def _hook_regfile(core, timeline: _Timeline) -> None:
+    values = core.prf.values = _RecordingValues(
+        core.prf.values, core, timeline
+    )
+    orig_execute = core._execute
+
+    def execute(uop):
+        # A SYS uop reads its operands, r0-r2 in order, in _execute.
+        inst = uop.inst
+        if not inst.is_sys:
+            return orig_execute(uop)
+        values.syscall_reads = syscall_arg_count(inst.imm)
+        try:
+            return orig_execute(uop)
+        finally:
+            values.syscall_reads = None
+
+    core._execute = execute
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +599,7 @@ def build_liveness_trace(
     trace.geometry["regfile"] = _Geometry(
         core.prf.inject_name, core.prf.inject_rows, core.prf.inject_cols
     )
-    core.prf.values = _RecordingValues(core.prf.values, core, regfile_timeline)
+    _hook_regfile(core, regfile_timeline)
     result = system.run(max_cycles=GOLDEN_MAX_CYCLES)
     if golden is None:
         golden = _keep_golden(workload, golden_key, result)

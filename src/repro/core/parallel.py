@@ -581,9 +581,9 @@ class _Scheduler:
             _, _, data, cause = message
             self._incident(Incident.from_dict(data), cause)
         elif kind == "fatal":
-            _, _, index, error_type, detail = message
+            _, _, index, error_type, detail, exc = message
             self._retire(worker_id)
-            self.abort_exc = InjectionIncident(
+            self.abort_exc = exc if exc is not None else InjectionIncident(
                 f"worker {worker_id} aborted on cell "
                 f"{self._cell_label(index)}: {error_type}: {detail}"
             )

@@ -55,6 +55,26 @@ def worker_sp(layout: MemoryLayout, core_id: int, ncores: int) -> int:
     return layout.stack_top - 16 - core_id * slice_size
 
 
+#: How many argument registers (``r0``, ``r1``, ``r2``, in that order) each
+#: syscall reads in :meth:`Kernel.do_syscall`.  The decoder makes every SYS
+#: read all three, so renaming and issue timing never depend on this; it
+#: tells liveness pruning which of those reads consume a value.
+SYSCALL_ARG_COUNTS = {
+    Syscall.EXIT: 1,
+    Syscall.PUTW: 1,
+    Syscall.PUTC: 1,
+    Syscall.PUTD: 1,
+    Syscall.SPAWN: 2,
+    Syscall.COREID: 0,
+    Syscall.NCORES: 0,
+}
+
+
+def syscall_arg_count(number: int) -> int:
+    """Argument registers syscall *number* reads (all three if unknown)."""
+    return SYSCALL_ARG_COUNTS.get(number, 3)
+
+
 class Kernel(Restorable):
     """Holds per-process OS state: the output stream and exit status."""
 

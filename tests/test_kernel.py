@@ -1,13 +1,20 @@
 """Kernel layer: syscalls, loader, memory layout."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.isa.assembler import assemble
 from repro.kernel.layout import MemoryLayout
 from repro.kernel.loader import load_program
 from repro.kernel.status import CrashReason
-from repro.kernel.syscalls import Kernel, Syscall
+from repro.kernel.syscalls import (
+    SYSCALL_ARG_COUNTS,
+    Kernel,
+    Syscall,
+    syscall_arg_count,
+)
 from repro.mem.paging import PAGE_SIZE, PageTable
 from repro.mem.physmem import PhysicalMemory
 
@@ -49,6 +56,65 @@ def test_output_limit_caps_livelocked_writers():
     for _ in range(10):
         kernel.do_syscall(Syscall.PUTC, ord("x"), 0, 0)
     assert len(kernel.output) <= 5
+
+
+# -- which argument registers each syscall reads -------------------------------
+
+
+class _StubSMP:
+    """An SMP machine whose SPAWN result depends on both of its arguments."""
+
+    ncores = 4
+
+    def start_core(self, entry: int, arg: int) -> int:
+        return (entry * 0x9E3779B1 ^ arg) & 0xFFFFFFFF
+
+
+def _observe(number: int, args, smp=None):
+    kernel = Kernel()
+    kernel.smp = smp
+    ret, exited, crash = kernel.do_syscall(number, *args, core=1)
+    return ret, exited, crash, bytes(kernel.output), kernel.exit_code
+
+
+_WORDS = st.tuples(*[st.integers(0, 0xFFFFFFFF)] * 3)
+
+
+@given(
+    number=st.one_of(st.sampled_from(list(Syscall)), st.integers(0, 0xFFFF)),
+    args=_WORDS,
+    others=_WORDS,
+    smp=st.sampled_from([None, _StubSMP()]),
+)
+def test_arguments_past_the_table_count_change_nothing(
+    number, args, others, smp
+):
+    # Liveness pruning treats the argument registers past a syscall's
+    # count as never consumed; Kernel.do_syscall must agree.
+    used = syscall_arg_count(number)
+    mixed = args[:used] + others[used:]
+    assert _observe(number, mixed, smp) == _observe(number, args, smp)
+
+
+def test_table_covers_every_syscall_and_unknown_numbers_read_all():
+    assert set(SYSCALL_ARG_COUNTS) == set(Syscall)
+    assert syscall_arg_count(max(Syscall) + 1) == 3
+
+
+@pytest.mark.parametrize(
+    "number", [Syscall.EXIT, Syscall.PUTW, Syscall.PUTC, Syscall.PUTD]
+)
+def test_r0_matters_to_single_argument_syscalls(number):
+    assert syscall_arg_count(number) == 1
+    assert _observe(number, (1, 0, 0)) != _observe(number, (2, 0, 0))
+
+
+def test_spawn_reads_r0_and_r1():
+    smp = _StubSMP()
+    assert syscall_arg_count(Syscall.SPAWN) == 2
+    base = _observe(Syscall.SPAWN, (8, 1, 0), smp)
+    assert _observe(Syscall.SPAWN, (4, 1, 0), smp) != base
+    assert _observe(Syscall.SPAWN, (8, 2, 0), smp) != base
 
 
 def make_loaded(source="_start:\n HALT\n"):

@@ -37,6 +37,7 @@ from repro.core.liveness import (
 from repro.errors import ConfigError, VerificationError
 from repro.cpu.config import DEFAULT_CONFIG
 from repro.cpu.system import System
+from repro.cpu.uop import WAITING
 from repro.isa.assembler import assemble
 from repro.mem.paging import PAGE_SHIFT, PAGE_SIZE
 from repro.verify.fuzz import ProgramFuzzer
@@ -350,7 +351,7 @@ def _evicting_fuzz_program(fuzz_seed):
 
 
 @pytest.mark.parametrize("fuzz_seed", ["live0", "live1"])
-def test_pruned_equals_full_on_fuzzed_programs(fuzz_seed):
+def test_pruned_equals_full_on_fuzzed_programs(fuzz_seed, monkeypatch):
     workload = _ProgramWorkload(
         f"fuzz:{fuzz_seed}", _evicting_fuzz_program(fuzz_seed)
     )
@@ -359,6 +360,28 @@ def test_pruned_equals_full_on_fuzzed_programs(fuzz_seed):
         plain = _verdict_stream(workload, component, 6, None)
         pruned = _verdict_stream(workload, component, 6, liveness)
         assert pruned == plain, f"{component} diverged on fuzz:{fuzz_seed}"
+    # A register flip that only a SYS argument read consumes lives for a
+    # few hundred cycles of the run, where random draws seldom land.  Every
+    # such window ends at a READ that a trace counting all three SYS
+    # operands records and this trace does not: simulate a flip there.
+    with monkeypatch.context() as patch:
+        patch.setattr(liveness_module, "syscall_arg_count", lambda _: 3)
+        counted = build_liveness_trace(workload).timelines["regfile"]
+    timeline = liveness.timelines["regfile"]
+    flips = [
+        (row, cycle)
+        for row, cycles in counted.cycles.items()
+        for cycle in cycles
+        if counted.verdict(row, cycle) == READ
+        and timeline.verdict(row, cycle) != READ
+    ]
+    assert flips, f"no SYS leaves an argument unread on fuzz:{fuzz_seed}"
+    for row, cycle in flips:
+        mask = FaultMask("regfile", ((row, 0),), (row, 0), (1, 1))
+        assert liveness.classify(mask, cycle)
+        assert _simulate(workload, mask, cycle) is FaultClass.MASKED, (
+            f"unread-argument prune of p{row}@{cycle} on fuzz:{fuzz_seed}"
+        )
 
 
 # -- copies through the hierarchy ---------------------------------------------
@@ -514,6 +537,79 @@ def test_l2_flip_refilled_from_dram_and_read_is_undecided():
         system.step()
     # The flipped line left the L2 for DRAM before slot is loaded again.
     assert system.l1d.probe(paddr) is None
+    assert not build_liveness_trace(workload).classify(mask, cycle)
+    assert _simulate(workload, mask, cycle) is FaultClass.SDC
+
+
+# -- syscall arguments --------------------------------------------------------
+#
+# Every SYS reads r0-r2, but PUTW (SYS #1) prints r0 alone: a value that
+# only rides along in r1 or r2 is not consumed by it.  A dependent ADDI
+# chain on another argument register keeps the SYS waiting to issue well
+# after the register under test is written.
+
+
+def _syscall_program(reg: int, after: str = "", chain: int = 0) -> str:
+    """Hold 77 in r<reg> across a PUTW of r0 (delayed by an ADDI chain on
+    r<chain>), run *after*, then overwrite r<reg> and print it."""
+    lines = "\n".join([f"    ADDI r{chain}, r{chain}, #1"] * 8)
+    return f"""
+_start:
+    MOVI r{reg}, #77
+    MOVI r0, #5
+{lines}
+    SYS  #1
+{after}
+    MOVI r{reg}, #9
+    MOV  r0, r{reg}
+    SYS  #3
+    SYS  #0
+"""
+
+
+def _register_flip(workload, reg: int):
+    """The first cycle at which the first SYS waits to issue with its
+    r<reg> operand written, and a one-bit mask on that operand."""
+    system = System(DEFAULT_CONFIG)
+    system.load(workload.program())
+    core = system.core
+    while True:
+        assert not system.finished, "the SYS never became ready"
+        sys_uop = next((uop for uop in core.rob if uop.inst.is_sys), None)
+        if sys_uop is not None and core.prf.ready[sys_uop.srcs[reg]]:
+            break
+        system.step()
+    assert sys_uop.state == WAITING
+    bit = (sys_uop.srcs[reg], 3)
+    return system.cycle, FaultMask("regfile", (bit,), bit, (1, 1))
+
+
+@pytest.mark.parametrize("reg", [1, 2])
+def test_register_only_passed_to_an_unread_syscall_argument_is_pruned(reg):
+    workload = _ProgramWorkload(
+        f"sys:unread-r{reg}", assemble(_syscall_program(reg))
+    )
+    cycle, mask = _register_flip(workload, reg)
+    assert build_liveness_trace(workload).classify(mask, cycle)
+    assert _simulate(workload, mask, cycle) is FaultClass.MASKED
+
+
+@pytest.mark.parametrize("reg", [1, 2])
+def test_register_read_by_an_instruction_after_the_syscall_is_undecided(reg):
+    after = f"    ADD  r0, r{reg}, r{reg}\n    SYS  #1"
+    workload = _ProgramWorkload(
+        f"sys:read-after-r{reg}", assemble(_syscall_program(reg, after))
+    )
+    cycle, mask = _register_flip(workload, reg)
+    assert not build_liveness_trace(workload).classify(mask, cycle)
+    assert _simulate(workload, mask, cycle) is FaultClass.SDC
+
+
+def test_syscall_argument_register_is_undecided():
+    workload = _ProgramWorkload(
+        "sys:read-r0", assemble(_syscall_program(2, chain=1))
+    )
+    cycle, mask = _register_flip(workload, 0)
     assert not build_liveness_trace(workload).classify(mask, cycle)
     assert _simulate(workload, mask, cycle) is FaultClass.SDC
 

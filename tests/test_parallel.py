@@ -297,3 +297,43 @@ def test_unsupervised_parallel_run_works(serial_reference):
     serial = run_campaign(config)
     parallel = run_campaign(config, jobs=2)
     assert parallel.to_json() == serial.to_json()
+
+
+_ONE_CELL = CampaignConfig(
+    workloads=("crc32",), components=("regfile",), cardinalities=(1,),
+    samples=2, seed=0,
+)
+
+
+class _Unpicklable(Exception):
+    """An exception that cannot cross a process boundary."""
+
+    def __reduce__(self):
+        raise TypeError("not picklable")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_uncontained_error_reaches_the_caller_as_itself(jobs, monkeypatch):
+    # Building a cell's InjectionPlan happens outside any sample's
+    # containment: the caller sees the same exception at every job count.
+    from repro.core import campaign
+
+    def broken(*args, **kwargs):
+        raise ValueError("plan build failed")
+
+    monkeypatch.setattr(campaign.InjectionPlan, "build", broken)
+    with pytest.raises(ValueError, match="plan build failed"):
+        run_campaign(_ONE_CELL, jobs=jobs, supervisor=Supervisor())
+
+
+def test_unpicklable_uncontained_error_is_reported_by_name(monkeypatch):
+    from repro.core import campaign
+
+    def broken(*args, **kwargs):
+        raise _Unpicklable("plan build failed")
+
+    monkeypatch.setattr(campaign.InjectionPlan, "build", broken)
+    with pytest.raises(
+        InjectionIncident, match=r"crc32/regfile/1-bit: _Unpicklable"
+    ):
+        run_campaign(_ONE_CELL, jobs=2, supervisor=Supervisor())
