@@ -30,13 +30,14 @@ Fault classes (one scenario each, composable):
   of sinking the campaign (and must abort it under ``--strict`` or a
   tight ``--max-incidents``).
 
-Network fault classes (:data:`NET_SCENARIOS`, socket backend only —
-they sever or corrupt a TCP transport that the in-process backends do
-not have):
+Network fault classes (:data:`NET_SCENARIOS`) sever or corrupt a
+worker's session stream — a ``socketpair`` end for a forked worker, a
+TCP connection for a socket one — and run on both backends, except
+``stale-epoch``, which needs ``--backend socket``:
 
 * ``disconnect``   — a worker drops its connection mid-cell; the parent
   must reschedule from the last acked checkpoint while the worker
-  rejoins.
+  rejoins (TCP) or is replaced (forked).
 * ``partition``    — the connection is severed *during* the checkpoint
   stream (after at least one mid-cell checkpoint was acked), so the
   resume provably continues from a mid-cell state.
@@ -45,16 +46,15 @@ not have):
   campaign must still converge.
 * ``stale-epoch``  — a disconnected worker rejoins claiming a bogus
   session epoch; the coordinator must reject it, and the worker's clean
-  retry must be accepted.
+  retry must be accepted.  Only a TCP worker rejoins: a forked worker
+  exits and is replaced.
 * ``dup-deliver``  — result/checkpoint messages are delivered twice
   (the healed-partition double-send); duplicates must be suppressed by
   first-canonical-result-wins.
 
-Worker-side network events fire through a transport hook the socket
-worker registers around :func:`~repro.core.executor.worker_loop`
-(:func:`set_transport_hook`); in non-socket runs the hook is absent and
-the events are inert rather than vacuously "passed" — their flag is only
-marked once a hook actually fired.
+Worker-side network events fire through a transport hook that every
+worker's session registers around
+:func:`~repro.core.executor.worker_loop` (:func:`set_transport_hook`).
 
 Worker-side events fire **once** across reschedules (flag files — the
 same mechanism a real heisenbug's nondeterminism provides, made
@@ -79,8 +79,7 @@ from repro.errors import ChaosAbort
 #: Scenario names in canonical run order.
 SCENARIOS = ("kill", "stall", "drop", "dup", "torn", "poison")
 
-#: Network scenarios: require ``backend="socket"`` (there is no
-#: transport to sever inside the in-process backends).
+#: Network scenarios: they sever or corrupt a worker's session stream.
 NET_SCENARIOS = (
     "disconnect", "partition", "corrupt-frame", "stale-epoch", "dup-deliver",
 )
@@ -88,7 +87,7 @@ NET_SCENARIOS = (
 #: Exit code chaos kills die with — distinctive in incident journals.
 CHAOS_EXIT_CODE = 64
 
-#: The socket worker's registered transport saboteur (or ``None``).
+#: The worker session's registered transport saboteur (or ``None``).
 #: Takes one argument, the event kind: ``"disconnect"`` severs the
 #: connection, ``"corrupt"`` emits a bad-CRC frame.  Process-local by
 #: design: each worker process registers its own.
@@ -108,10 +107,9 @@ class ChaosEvent:
     ``kind`` is ``"kill"`` (hard ``os._exit``, no cleanup, no goodbye —
     exactly what a segfault looks like from the parent), ``"stall"``
     (sleep for *duration* with no CPU progress, exactly what a wedged or
-    partitioned worker looks like), ``"disconnect"`` (sever the socket
-    transport mid-cell) or ``"corrupt"`` (emit a frame whose CRC lies) —
-    the last two act through the registered transport hook and are inert
-    without one.
+    partitioned worker looks like), ``"disconnect"`` (sever the session
+    stream mid-cell) or ``"corrupt"`` (emit a frame whose CRC lies) —
+    the last two act through the registered transport hook.
     *flag* (optional explicit path) marks the event as fired so the
     rescheduled cell does not re-trigger it.
     """
@@ -166,20 +164,6 @@ class ChaosSpec:
                 flag = self._flag_path(index, event)
                 if flag.exists():
                     continue
-                if event.kind in ("disconnect", "corrupt"):
-                    hook = _TRANSPORT_HOOK["fn"]
-                    if hook is None:
-                        # No transport to sabotage (not a socket worker):
-                        # leave the flag unmarked so the event is armed,
-                        # not silently "passed".
-                        continue
-                    try:
-                        flag.parent.mkdir(parents=True, exist_ok=True)
-                        flag.touch()
-                    except OSError:  # pragma: no cover - flag dir vanished
-                        continue
-                    hook(event.kind)
-                    continue
                 try:
                     flag.parent.mkdir(parents=True, exist_ok=True)
                     flag.touch()
@@ -189,6 +173,8 @@ class ChaosSpec:
                     os._exit(event.exit_code)
                 elif event.kind == "stall":
                     time.sleep(event.duration)
+                else:
+                    _TRANSPORT_HOOK["fn"](event.kind)
 
 
 class TornWriteStore:
@@ -443,11 +429,7 @@ def chaos_policy():
     seconds, not minutes."""
     from repro.core.executor import ResiliencePolicy
 
-    return ResiliencePolicy(
-        hang_timeout=2.0,
-        retry_base_delay=0.05,
-        retry_max_delay=0.5,
-    )
+    return ResiliencePolicy(hang_timeout=2.0)
 
 
 def run_chaos(
@@ -480,12 +462,11 @@ def run_chaos(
     from repro.cpu.config import DEFAULT_CONFIG
 
     core_cfg = core_cfg if core_cfg is not None else DEFAULT_CONFIG
-    for scenario in scenarios:
-        if scenario in NET_SCENARIOS and backend != "socket":
-            raise ValueError(
-                f"chaos scenario {scenario!r} needs backend='socket' "
-                f"(got {backend!r}): only a TCP transport can be severed"
-            )
+    if "stale-epoch" in scenarios and backend != "socket":
+        raise ValueError(
+            "chaos scenario 'stale-epoch' needs backend='socket' "
+            f"(got {backend!r}): only a TCP worker rejoins"
+        )
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     if policy is None:

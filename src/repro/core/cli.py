@@ -130,9 +130,10 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend", choices=sorted(ALL_BACKEND_NAMES),
         default="multiprocessing",
-        help="executor backend for --jobs: 'multiprocessing' (in-process "
-        "pool, default) or 'socket' (TCP coordinator for distributed "
-        "workers — see --listen); results are byte-identical either way",
+        help="how --jobs workers start: 'multiprocessing' forks them from "
+        "this process (default), 'socket' starts fresh interpreters that "
+        "dial in over TCP (see --listen); every worker speaks the same "
+        "framed session, and results are byte-identical either way",
     )
     parser.add_argument(
         "--listen", default=None, metavar="HOST:PORT",
@@ -150,18 +151,14 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
         help="seconds without progress: a worker holding cells whose CPU "
         "time has not advanced for this long is killed and its cells "
         "rescheduled (default 30; they resume from their last streamed "
-        "checkpoint, bit-identically)",
+        "checkpoint, bit-identically); retries back off from 1/120 of "
+        "it up to all of it",
     )
     parser.add_argument(
         "--max-attempts", type=int, default=None, metavar="N",
         help="quarantine a cell after N failed executions (worker crashes "
         "or hangs) as a poison-cell incident instead of retrying forever "
         "(default 3)",
-    )
-    parser.add_argument(
-        "--max-backoff", type=float, default=None, metavar="SECONDS",
-        help="cap on the exponential retry backoff between reschedules "
-        "of a failed cell (default 30)",
     )
     parser.add_argument(
         "--telemetry", nargs="?", const="auto", default=None, metavar="PATH",
@@ -247,23 +244,17 @@ def _write_telemetry(telemetry, path: Path) -> None:
 
 
 def _policy_from_args(args: argparse.Namespace) -> ResiliencePolicy | None:
-    """Validated resilience overrides, or ``None`` for policy defaults.
+    """Resilience overrides, or ``None`` for policy defaults.
 
-    Raises :class:`~repro.errors.ConfigError` on self-contradictory
-    knobs (e.g. a backoff cap below the base delay).
+    Raises :class:`~repro.errors.ConfigError` on an invalid knob (the
+    policy checks itself as it is built).
     """
     overrides = {}
     for attr in ("hang_timeout", "max_attempts"):
         value = getattr(args, attr, None)
         if value is not None:
             overrides[attr] = value
-    if getattr(args, "max_backoff", None) is not None:
-        overrides["retry_max_delay"] = args.max_backoff
-    if not overrides:
-        return None
-    policy = ResiliencePolicy(**overrides)
-    policy.validate()
-    return policy
+    return ResiliencePolicy(**overrides) if overrides else None
 
 
 def _backend_options(args: argparse.Namespace) -> dict | None:
@@ -680,12 +671,15 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     )
     # The harness's tight timings, with any CLI overrides applied on top.
     policy = chaos_policy()
-    if args.hang_timeout is not None:
-        policy = dataclasses.replace(policy, hang_timeout=args.hang_timeout)
-    if args.max_attempts is not None:
-        policy = dataclasses.replace(policy, max_attempts=args.max_attempts)
     try:
-        policy.validate()
+        if args.hang_timeout is not None:
+            policy = dataclasses.replace(
+                policy, hang_timeout=args.hang_timeout
+            )
+        if args.max_attempts is not None:
+            policy = dataclasses.replace(
+                policy, max_attempts=args.max_attempts
+            )
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -703,7 +697,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 f"chaos: running scenario {scenario!r} ...", file=sys.stderr
             ),
         )
-    except ValueError as exc:  # net scenario without --backend socket
+    except ValueError as exc:  # stale-epoch without --backend socket
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for outcome in report.outcomes:
@@ -862,8 +856,8 @@ def main(argv: list[str] | None = None) -> int:
         choices=list(SCENARIOS + NET_SCENARIOS),
         metavar="NAME",
         help=f"scenario subset (default: the full local matrix "
-        f"{SCENARIOS}; network scenarios {NET_SCENARIOS} need "
-        f"--backend socket)",
+        f"{SCENARIOS}; network scenarios: {NET_SCENARIOS}, of which "
+        f"stale-epoch needs --backend socket)",
     )
     p_chaos.add_argument("--jobs", type=int, default=2, metavar="N")
     p_chaos.add_argument(

@@ -1,14 +1,21 @@
-"""TCP campaign coordinator: the multi-host socket executor backend.
+"""The campaign coordinator: every worker's session, both launchers.
 
-One campaign, many hosts.  The parent (the *coordinator*) listens on a
-TCP port; each worker host runs ``repro-campaign worker --connect
-HOST:PORT`` and speaks exactly the protocol the multiprocessing
-backend's workers speak — the same
-:func:`~repro.core.executor.worker_loop`, the same messages, now carried
-as CRC-checked, epoch-stamped frames (:mod:`repro.core.wire`) over a
-socket instead of a process queue.  The scheduler in
-:mod:`repro.core.parallel` cannot tell the difference, which is the
-point: stall detection, retries, quarantine and the
+The parent (the *coordinator*) speaks to each worker over a stream of
+its own, carrying CRC-checked, epoch-stamped frames
+(:mod:`repro.core.wire`); the worker runs
+:func:`~repro.core.executor.worker_loop` inside
+:func:`_serve_session`.  There is one session and two ways to start the
+process that serves it:
+
+* ``--backend multiprocessing`` forks the worker from the parent and
+  hands it one end of a ``socketpair`` — cheap, and the worker inherits
+  the parent's warm caches;
+* ``--backend socket`` starts a fresh interpreter — a local
+  ``repro-campaign worker --connect`` subprocess, or one on another host
+  with ``--listen`` — that dials in over TCP.
+
+The scheduler in :mod:`repro.core.parallel` cannot tell the difference,
+which is the point: stall detection, retries, quarantine and the
 byte-identical-to-serial guarantee apply unchanged across a network
 boundary.
 
@@ -33,7 +40,9 @@ has:
 * **Reconnect-with-resume**: a ``--reconnect`` worker that loses its
   connection rejoins as a *new* worker in the same session epoch; the
   rescheduled cell task carries the acked checkpoint, so the rejoined
-  worker resumes where the parent last saw it, bit-identically.
+  worker resumes where the parent last saw it, bit-identically.  A
+  forked worker never rejoins: it exits, and the scheduler forks a
+  replacement that resumes from the same checkpoint.
 * **Stale sessions**: a worker claiming a different session's epoch is
   rejected at handshake, and data frames from a stale epoch read as EOF
   — a campaign can never absorb another campaign's results.
@@ -52,6 +61,7 @@ or a private network.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import queue as queue_module
 import socket
@@ -63,12 +73,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.core import chaos as chaos_module
-from repro.core.executor import (
-    ExecutorBackend,
-    WorkerHandle,
-    WorkerSpec,
-    worker_loop,
-)
+from repro.core.executor import WorkerSpec, worker_loop
 from repro.core.wire import (
     FRAME_CORRUPT,
     FRAME_STALE,
@@ -123,15 +128,17 @@ def _close_quietly(*closables) -> None:
             pass
 
 
-class _SocketHandle(WorkerHandle):
-    """Parent-side view of one connected worker."""
+class _SocketHandle:
+    """Parent-side view of one worker: its session's stream, and its
+    process when the worker was forked from this one."""
 
-    def __init__(self, worker_id, conn, wfile, epoch, pid) -> None:
+    def __init__(self, worker_id, conn, wfile, epoch, pid, proc=None) -> None:
         self.worker_id = worker_id
         self._conn = conn
         self._wfile = wfile
         self._epoch = epoch
         self._pid = pid
+        self._proc = proc
         self._dead = threading.Event()
         self._lock = threading.Lock()
 
@@ -143,18 +150,20 @@ class _SocketHandle(WorkerHandle):
             self._dead.set()  # the liveness poll turns this into a death
 
     def send(self, batch) -> None:
+        """Dispatch a task batch (or ``None`` = shut down politely)."""
         self._write(("task", batch))
 
     def soft_cancel(self) -> None:
+        """Ask the worker to stop at the next sample boundary."""
         self._write(("stop",))
 
-    def kill(self) -> None:
-        """Sever the connection — the strongest "kill" a network allows.
+    def sever(self) -> None:
+        """End the session: the worker reads EOF and abandons its cell at
+        the next sample boundary.
 
-        The worker notices at its next send (or instantly via its reader
-        thread) and abandons the cell; the parent has already reclaimed
-        it.  A remote process cannot be SIGKILLed from here,
-        only disowned.
+        ``shutdown`` comes first because closing is not enough: every
+        worker forked after this one holds a copy of this end of the
+        stream, and a close only drops this process's copy.
         """
         self._dead.set()
         try:
@@ -163,30 +172,59 @@ class _SocketHandle(WorkerHandle):
             pass
         _close_quietly(self._wfile, self._conn)
 
+    def kill(self) -> None:
+        """Sever the session and SIGKILL a forked worker.  A worker that
+        dialled in cannot be killed from here, only disowned."""
+        self.sever()
+        if self._proc is not None and self._proc.is_alive():
+            self._proc.kill()
+
     def alive(self) -> bool:
         return not self._dead.is_set()
 
     def exitcode(self) -> int | None:
-        return None  # exit codes do not cross the network boundary
+        """A forked worker's exit code; ``None`` for a worker that dialled
+        in (exit codes do not cross the network)."""
+        return self._proc.exitcode if self._proc is not None else None
 
     def pid(self) -> int | None:
         return self._pid
 
     def join(self, timeout: float) -> None:
-        self._dead.wait(timeout=timeout)
+        if self._proc is not None:
+            self._proc.join(timeout=timeout)
+        else:
+            self._dead.wait(timeout=timeout)
 
 
-class SocketBackend(ExecutorBackend):
-    """Executor backend over TCP: accept, handshake, pump frames.
+def _context() -> multiprocessing.context.BaseContext:
+    """Fork when the platform offers it (cheap, inherits warm caches);
+    spawn otherwise.  Determinism is identical either way — workers
+    re-derive everything from the cell seed."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
-    Two modes share one implementation:
 
-    * **autospawn** (default) — each ``spawn()`` launches a local
-      ``repro-campaign worker --connect`` subprocess against an ephemeral
-      localhost port.  This is how ``--backend socket`` behaves with no
-      ``--listen``: single-host, but every byte crosses a real TCP
-      socket, so tests and chaos runs exercise the exact multi-host
-      path.
+class SocketBackend:
+    """The parent's side of every worker session: start workers,
+    handshake, pump frames.
+
+    The scheduler sees ``spawn()`` a worker, ``recv()`` the next message
+    from any worker (``None`` on timeout) and ``close()`` when done.
+    Every worker speaks the same framed session
+    (:func:`_serve_session`) over a stream of its own; the launchers
+    differ only in how the worker process starts and how its stream
+    arrives:
+
+    * **fork** (``fork=True``, ``--backend multiprocessing``) — each
+      ``spawn()`` forks a worker and hands it one end of a
+      ``socketpair``.  No listener is opened.  The forked worker shares
+      the parent's warm caches, and its handle keeps the process, so a
+      crash carries its real exit code and a kill is a SIGKILL.
+    * **autospawn** (the ``--backend socket`` default) — each
+      ``spawn()`` launches a local ``repro-campaign worker --connect``
+      subprocess against an ephemeral localhost port, so every byte
+      crosses a real TCP socket, exactly as on the multi-host path.
     * **listen** (``autospawn=False``) — ``spawn()`` adopts the next
       externally-connected worker (the ``--listen HOST:PORT`` flow).
       Initial spawns wait up to *accept_timeout* for the fleet to
@@ -195,23 +233,23 @@ class SocketBackend(ExecutorBackend):
       scheduler briefly instead of for the full accept window before it
       degrades to the survivors.
 
-    A worker that reconnects after a drop is handshaken by the accept
+    A TCP worker that reconnects after a drop is handshaken by the accept
     thread and parked until the scheduler's next ``spawn()`` (triggered
     by the death of its previous incarnation) adopts it.
     """
-
-    name = "socket"
 
     def __init__(
         self,
         spec: WorkerSpec,
         *,
+        fork: bool = False,
         host: str = "127.0.0.1",
         port: int = 0,
         autospawn: bool = True,
         accept_timeout: float = 30.0,
     ) -> None:
         self.spec = spec
+        self.fork = fork
         self.autospawn = autospawn
         self.accept_timeout = accept_timeout
         self.epoch = _fresh_epoch()
@@ -221,6 +259,9 @@ class SocketBackend(ExecutorBackend):
         self._closing = False
         self._handles: list[_SocketHandle] = []
         self._procs: list[subprocess.Popen] = []
+        self._listener: socket.socket | None = None
+        if fork:
+            return
         self._listener = socket.create_server((host, port))
         self._listener.settimeout(0.2)
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
@@ -229,7 +270,7 @@ class SocketBackend(ExecutorBackend):
             daemon=True,
         ).start()
 
-    # -- accept / handshake (listener threads) -----------------------------
+    # -- accept / handshake ------------------------------------------------
 
     def _accept_loop(self) -> None:
         while not self._closing:
@@ -240,11 +281,18 @@ class SocketBackend(ExecutorBackend):
             except OSError:  # listener closed
                 return
             threading.Thread(
-                target=self._handshake, args=(conn,),
+                target=self._park, args=(conn,),
                 name="repro-coordinator-handshake", daemon=True,
             ).start()
 
-    def _handshake(self, conn: socket.socket) -> None:
+    def _park(self, conn: socket.socket) -> None:
+        joined = self._handshake(conn)
+        if joined is not None:
+            self._joined.put(joined)
+
+    def _handshake(self, conn: socket.socket) -> tuple | None:
+        """Read a worker's join frame: ``(conn, rfile, wfile, info)`` if
+        it is admitted, ``None`` (connection closed) if not."""
         conn.settimeout(_HANDSHAKE_TIMEOUT)
         rfile = conn.makefile("rb")
         wfile = conn.makefile("wb")
@@ -259,7 +307,7 @@ class SocketBackend(ExecutorBackend):
         ):
             _counter("exec.fabric.bad_joins")
             _close_quietly(rfile, wfile, conn)
-            return
+            return None
         info = message[1]
         claimed = int(info.get("epoch", HANDSHAKE_EPOCH))
         if claimed not in (HANDSHAKE_EPOCH, self.epoch):
@@ -275,27 +323,26 @@ class SocketBackend(ExecutorBackend):
             except OSError:
                 pass
             _close_quietly(rfile, wfile, conn)
-            return
+            return None
         _counter("exec.fabric.joins")
         if claimed == self.epoch:
             _counter("exec.fabric.rejoins")
         conn.settimeout(None)
-        self._joined.put((conn, rfile, wfile, info))
+        return conn, rfile, wfile, info
 
-    # -- the backend surface the scheduler sees ----------------------------
+    # -- the surface the scheduler sees ------------------------------------
 
     def _spawn_timeout(self) -> float:
         if any(handle.alive() for handle in self._handles):
             return min(self.accept_timeout, _REPLACEMENT_TIMEOUT)
         return self.accept_timeout
 
-    def spawn(self) -> _SocketHandle:
+    def _await_join(self) -> tuple:
         deadline = time.monotonic() + self._spawn_timeout()
         launched = False
         while True:
             try:
-                conn, rfile, wfile, info = self._joined.get(timeout=0.2)
-                break
+                return self._joined.get(timeout=0.2)
             except queue_module.Empty:
                 if self._closing:
                     raise RuntimeError("socket backend is closing")
@@ -307,10 +354,39 @@ class SocketBackend(ExecutorBackend):
                         f"no worker joined {self.address[0]}:"
                         f"{self.address[1]} within the accept window"
                     )
+
+    def _fork_worker(self) -> tuple[tuple, multiprocessing.Process]:
+        """Fork a worker onto one end of a fresh ``socketpair`` and
+        handshake it on the other."""
+        parent_end, child_end = socket.socketpair()
+        proc = _context().Process(
+            target=_serve_session, args=(child_end, HANDSHAKE_EPOCH),
+            daemon=True,
+        )
+        proc.start()
+        # The worker now holds the only other copy of its end, so its
+        # exit is EOF here.
+        child_end.close()
+        joined = self._handshake(parent_end)
+        if joined is None:
+            proc.kill()
+            proc.join()
+            raise RuntimeError(
+                f"forked worker (pid {proc.pid}) failed its handshake"
+            )
+        return joined, proc
+
+    def spawn(self) -> _SocketHandle:
+        proc = None
+        if self.fork:
+            joined, proc = self._fork_worker()
+        else:
+            joined = self._await_join()
+        conn, rfile, wfile, info = joined
         worker_id = self._next_id
         self._next_id += 1
         handle = _SocketHandle(
-            worker_id, conn, wfile, self.epoch, info.get("pid")
+            worker_id, conn, wfile, self.epoch, info.get("pid"), proc
         )
         try:
             with handle._lock:
@@ -321,18 +397,19 @@ class SocketBackend(ExecutorBackend):
         except (BrokenPipeError, ValueError, OSError):
             handle._dead.set()
         threading.Thread(
-            target=self._pump, args=(rfile, conn, handle),
+            target=self._pump, args=(rfile, handle),
             name=f"repro-worker-{worker_id}-reader", daemon=True,
         ).start()
         self._handles.append(handle)
         return handle
 
-    def _pump(self, rfile, conn, handle: _SocketHandle) -> None:
+    def _pump(self, rfile, handle: _SocketHandle) -> None:
         """Funnel one worker's frames into the shared inbox.
 
         Any non-OK frame — EOF, torn, oversized, corrupt, stale — ends
-        the session: the connection is dropped and the scheduler's
-        liveness poll reschedules the worker's cells.  Corruption is
+        the session: the stream is severed and the scheduler's liveness
+        poll reschedules the worker's cells.  A worker killed mid-frame
+        tears only its own stream, which reads as EOF.  Corruption is
         counted so an operator can tell a flaky link from a dead host.
         """
         while True:
@@ -344,7 +421,7 @@ class SocketBackend(ExecutorBackend):
                     _counter("exec.fabric.stale_frames")
                 break
             self.inbox.put(frame.message)
-        handle.kill()
+        handle.sever()
         _close_quietly(rfile)
 
     def recv(self, timeout: float) -> tuple | None:
@@ -354,10 +431,13 @@ class SocketBackend(ExecutorBackend):
             return None
 
     def close(self) -> None:
+        """Release everything: no worker outlives its campaign."""
         self._closing = True
-        _close_quietly(self._listener)
+        if self._listener is not None:
+            _close_quietly(self._listener)
         for handle in self._handles:
             handle.kill()
+            handle.join(timeout=1.0)
         while True:
             try:
                 conn, rfile, wfile, _info = self._joined.get_nowait()
@@ -414,14 +494,20 @@ def _connect_with_retries(
             time.sleep(retry_delay)
     return None  # pragma: no cover - loop always returns
 
+
 def _serve_session(
     sock: socket.socket, claim_epoch: int
 ) -> tuple[str, int, WorkerSpec | None]:
-    """One join → worker_loop → disconnect cycle.
+    """One join → worker_loop → disconnect cycle: every worker's
+    session, on a forked worker's ``socketpair`` end and a TCP worker's
+    connection alike.
 
-    Returns ``(status, epoch, spec)`` where status is ``"shutdown"``
-    (parent said we are done), ``"lost"`` (connection died — candidate
-    for reconnect) or ``"rejected"`` (handshake refused).
+    One lock serialises every frame this side writes — the main
+    thread's, the progress reporter's and a chaos corruption — so frames
+    never interleave.  Returns ``(status, epoch, spec)`` where status is
+    ``"shutdown"`` (parent said we are done), ``"lost"`` (connection
+    died — candidate for reconnect) or ``"rejected"`` (handshake
+    refused).
     """
     rfile = sock.makefile("rb")
     wfile = sock.makefile("wb")

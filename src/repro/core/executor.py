@@ -1,29 +1,31 @@
-"""Pluggable executor backends for the parallel campaign scheduler.
+"""The worker side of the parallel campaign scheduler.
 
-:mod:`repro.core.parallel` used to hard-wire one multiprocessing pool;
-this module extracts the seam between *scheduling* (which cell runs
-where, retries, quarantine — the parent's job) and *execution* (how a
-worker process is spawned and spoken to — the backend's job), the same
-dispatch abstraction DAVOS uses to run one campaign on either a
-multicore PC or an SGE grid.
+:mod:`repro.core.parallel` decides which cell runs where and handles
+retries and quarantine; this module holds what runs *inside* a worker
+and the parent's view of what a worker is:
 
-Two backends ship today:
+* :class:`WorkerSpec` — everything a worker needs to run cell batches,
+  shipped to it once at the start of its session;
+* :func:`worker_loop` — the worker body, batches in and messages out;
+* :class:`ResiliencePolicy` — the tunables of the failure handling
+  layered on top (see DESIGN.md §10);
+* :func:`create_backend` — the coordinator
+  (:class:`~repro.core.coordinator.SocketBackend`) that starts workers
+  and speaks to them.
 
-* :class:`MultiprocessingBackend` — a ``multiprocessing`` pool (fork
-  when available, spawn otherwise) with a task queue and a result pipe
-  per worker.  Cheapest start-up, shares the parent's warm caches over
-  fork.
-* the socket backend (:mod:`repro.core.coordinator`) — workers in fresh
-  interpreters, local or on other hosts, speaking CRC-checked frames
-  (:mod:`repro.core.wire`) over TCP.  Nothing is shared with the parent
-  but the byte stream.
+Every worker runs :func:`worker_loop` inside the one framed session of
+:mod:`repro.core.coordinator`: CRC-checked, epoch-stamped frames
+(:mod:`repro.core.wire`) over a stream socket of its own.  ``--backend``
+only picks how the worker process starts — ``multiprocessing`` forks it
+from the parent (cheap, inherits the parent's warm caches) and hands it
+one end of a ``socketpair``; ``socket`` starts a fresh interpreter,
+local or on another host, that dials in over TCP.
 
-Both backends run the same :func:`worker_loop`; a worker is defined by
-the messages it exchanges, not by how its process was made:
+The messages a worker exchanges define it:
 
 parent → worker   ``batch`` (list of
                   :class:`~repro.core.campaign.CellTask`), ``None``
-                  (shutdown), soft-cancel (per-worker stop flag)
+                  (shutdown), soft-cancel (the session's stop flag)
 worker → parent   ``("ready", wid)`` · ``("progress", wid, cpu_s)`` ·
                   ``("partial", wid, index, key, checkpoint)`` ·
                   ``("cell", wid, index, end_state)`` ·
@@ -43,15 +45,14 @@ advances whenever the worker computes — golden, checkpoint and liveness
 builds, oracle runs, injections alike — and stays flat while it sleeps,
 blocks or is partitioned away, so the scheduler's one failure rule
 ("no CPU progress for ``hang_timeout`` with cells in flight") needs no
-simulator hook.  The :class:`ResiliencePolicy` dataclass holds the
-tunables of the resilience protocol layered on top (see DESIGN.md §10).
+simulator hook.  The reporter and the main thread share the session's
+send, which holds a lock around every frame.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-import multiprocessing
 import pickle
 import queue as queue_module
 import signal
@@ -87,16 +88,33 @@ class ResiliencePolicy:
     Failure detection is one rule (DESIGN.md §12.4): a worker with
     in-flight cells whose reported CPU progress has not advanced for
     ``hang_timeout`` seconds is stalled — its cells are reclaimed from
-    their last acked checkpoint and the worker is killed (a socket
-    worker's connection severed) and replaced within the restart budget.
+    their last acked checkpoint and the worker is killed (its session
+    severed, a forked one SIGKILLed) and replaced within the restart
+    budget.
     Workers report every :attr:`report_interval`.  A slow worker that is
-    still progressing is never accused: it keeps its cells.
+    still progressing is never accused: it keeps its cells.  The retry
+    backoff is derived from ``hang_timeout`` too (:meth:`backoff`).
+
+    A policy checks itself when it is built: a zero, negative or NaN
+    ``hang_timeout`` would accuse every worker at its first tick (and
+    spin its progress reporter), so it raises
+    :class:`~repro.errors.ConfigError` instead.
     """
 
     hang_timeout: float = 30.0
     max_attempts: int = 3
-    retry_base_delay: float = 0.25
-    retry_max_delay: float = 30.0
+
+    def __post_init__(self) -> None:
+        from repro.errors import ConfigError
+
+        if not self.hang_timeout > 0:
+            raise ConfigError(
+                f"hang_timeout must be > 0 (got {self.hang_timeout})"
+            )
+        if self.max_attempts < 1:
+            raise ConfigError(
+                f"max_attempts must be >= 1 (got {self.max_attempts})"
+            )
 
     @property
     def report_interval(self) -> float:
@@ -104,43 +122,18 @@ class ResiliencePolicy:
         timeout, and at least two a second."""
         return min(0.5, self.hang_timeout / 20)
 
-    def validate(self) -> None:
-        """Reject self-contradictory knob combinations loudly.
-
-        The CLI funnels user-supplied overrides through here so a typo'd
-        ``--hang-timeout 0`` fails at argument time, not as a mysterious
-        mid-campaign reclaim storm.
-        """
-        from repro.errors import ConfigError
-
-        positive = {
-            "hang_timeout": self.hang_timeout,
-            "retry_base_delay": self.retry_base_delay,
-            "retry_max_delay": self.retry_max_delay,
-        }
-        for name, value in positive.items():
-            if value <= 0:
-                raise ConfigError(f"{name} must be > 0 (got {value})")
-        if self.max_attempts < 1:
-            raise ConfigError(
-                f"max_attempts must be >= 1 (got {self.max_attempts})"
-            )
-        if self.retry_max_delay < self.retry_base_delay:
-            raise ConfigError(
-                f"retry_max_delay ({self.retry_max_delay}) must be >= "
-                f"retry_base_delay ({self.retry_base_delay})"
-            )
-
     def backoff(self, cell_key: str, attempt: int) -> float:
         """Exponential backoff with deterministic jitter.
 
+        The base delay is ``hang_timeout / 120`` and doubles per attempt
+        up to a cap of ``hang_timeout`` — 0.25 s and 30 s at the default.
         The jitter fraction is drawn from a hash of (cell key, attempt),
         so two schedulers retrying the same cell spread out identically —
         reproducible schedules, no thundering herd.
         """
         base = min(
-            self.retry_max_delay,
-            self.retry_base_delay * (2 ** max(0, attempt - 1)),
+            self.hang_timeout,
+            self.hang_timeout / 120 * 2 ** max(0, attempt - 1),
         )
         digest = hashlib.sha256(f"{cell_key}:{attempt}".encode()).digest()
         return base * (1.0 + RETRY_JITTER * digest[0] / 255.0)
@@ -161,7 +154,7 @@ class WorkerSpec:
 
 
 # ---------------------------------------------------------------------------
-# The shared worker loop (backend-independent)
+# The worker loop
 # ---------------------------------------------------------------------------
 
 
@@ -264,19 +257,6 @@ def _make_probe(
     return probe
 
 
-def _serialised(send: Callable[[tuple], None]) -> Callable[[tuple], None]:
-    """*send* behind a lock: the worker's main thread and its progress
-    reporter share one transport, and a pipe ``Connection`` is not
-    thread-safe."""
-    lock = threading.Lock()
-
-    def locked_send(message: tuple) -> None:
-        with lock:
-            send(message)
-
-    return locked_send
-
-
 def _report_progress(
     send: Callable[[tuple], None], worker_id: int, interval: float,
     finished: threading.Event,
@@ -295,13 +275,14 @@ def worker_loop(
     send: Callable[[tuple], None],
     stop_flag: Callable[[], bool],
 ) -> None:
-    """Backend-independent worker body: batches in, messages out.
+    """The worker body: batches in, messages out.
 
-    *recv_batch* blocks up to its timeout and raises ``queue.Empty`` on
-    expiry; it returns a list of :class:`CellTask` or ``None`` for
-    shutdown.  *stop_flag* is the soft-cancel probe — polled between
-    samples, so a cancelled worker flushes one final mid-cell checkpoint
-    before exiting.  SIGINT/SIGTERM are ignored here: shutdown is the
+    *send* must be safe to call from two threads: the progress reporter
+    shares it with this one.  *recv_batch* blocks up to its timeout and
+    raises ``queue.Empty`` on expiry; it returns a list of
+    :class:`CellTask` or ``None`` for shutdown.  *stop_flag* is the
+    soft-cancel probe — polled between samples, so a cancelled worker
+    flushes one final mid-cell checkpoint before exiting.  SIGINT/SIGTERM are ignored here: shutdown is the
     parent's job, delivered through the stop flag.  A daemon thread
     reports CPU progress for as long as the loop runs.
     """
@@ -310,7 +291,6 @@ def worker_loop(
             signal.signal(signum, signal.SIG_IGN)
         except (ValueError, OSError):  # pragma: no cover - non-main thread
             pass
-    send = _serialised(send)
     finished = threading.Event()
     threading.Thread(
         target=_report_progress,
@@ -393,202 +373,27 @@ def _serve_batches(
         send(("ready", worker_id))
 
 
-# ---------------------------------------------------------------------------
-# Backend interface
-# ---------------------------------------------------------------------------
 
 
-class WorkerHandle:
-    """Parent-side view of one worker, whatever its transport."""
-
-    worker_id: int
-
-    def send(self, batch: list[CellTask] | None) -> None:
-        """Dispatch a task batch (or ``None`` = shut down politely)."""
-        raise NotImplementedError
-
-    def soft_cancel(self) -> None:
-        """Ask the worker to stop at the next sample boundary."""
-        raise NotImplementedError
-
-    def kill(self) -> None:
-        """Terminate the worker immediately (SIGKILL-hard)."""
-        raise NotImplementedError
-
-    def alive(self) -> bool:
-        raise NotImplementedError
-
-    def exitcode(self) -> int | None:
-        raise NotImplementedError
-
-    def pid(self) -> int | None:
-        raise NotImplementedError
-
-    def join(self, timeout: float) -> None:
-        raise NotImplementedError
+#: Every name ``--backend`` accepts.  The name picks how a worker process
+#: starts, nothing else: ``multiprocessing`` forks it from the parent,
+#: ``socket`` starts a fresh interpreter that dials in over TCP.
+ALL_BACKEND_NAMES: tuple[str, ...] = ("multiprocessing", "socket")
 
 
-class ExecutorBackend:
-    """Spawns workers and multiplexes their message streams.
+def create_backend(name: str, spec: WorkerSpec, options: dict | None = None):
+    """The coordinator for *name*'s workers.
 
-    The scheduler sees exactly this surface: ``spawn()`` a worker,
-    ``recv()`` the next message from any worker (``None`` on timeout),
-    ``close()`` when done.  Everything else — transport, serialisation,
-    process lifecycle — is the backend's private business, which is what
-    lets a multi-host backend slot in without touching the scheduler.
+    *options* are the socket launcher's constructor keywords (listen
+    address, accept timeout, autospawn switch); forked workers take none.
     """
-
-    name: str = "abstract"
-
-    def spawn(self) -> WorkerHandle:
-        raise NotImplementedError
-
-    def recv(self, timeout: float) -> tuple | None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-
-# ---------------------------------------------------------------------------
-# Multiprocessing backend (queues, fork/spawn)
-# ---------------------------------------------------------------------------
-
-
-def _context() -> multiprocessing.context.BaseContext:
-    """Fork when the platform offers it (cheap, inherits warm caches);
-    spawn otherwise.  Determinism is identical either way — workers
-    re-derive everything from the cell seed."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
-def _mp_worker_main(
-    worker_id: int, spec: WorkerSpec, task_queue, results, stop_event
-) -> None:
-    worker_loop(
-        worker_id, spec,
-        recv_batch=lambda timeout: task_queue.get(timeout=timeout),
-        send=results.send,
-        stop_flag=stop_event.is_set,
-    )
-
-
-class _MpHandle(WorkerHandle):
-    def __init__(self, worker_id, proc, task_queue, stop_event) -> None:
-        self.worker_id = worker_id
-        self._proc = proc
-        self._task_queue = task_queue
-        self._stop_event = stop_event
-
-    def send(self, batch) -> None:
-        try:
-            self._task_queue.put(batch)
-        except (ValueError, OSError):  # pragma: no cover - queue torn down
-            pass
-
-    def soft_cancel(self) -> None:
-        self._stop_event.set()
-
-    def kill(self) -> None:
-        if self._proc.is_alive():
-            self._proc.kill()
-
-    def alive(self) -> bool:
-        return self._proc.is_alive()
-
-    def exitcode(self) -> int | None:
-        return self._proc.exitcode
-
-    def pid(self) -> int | None:
-        return self._proc.pid
-
-    def join(self, timeout: float) -> None:
-        self._proc.join(timeout=timeout)
-
-
-class MultiprocessingBackend(ExecutorBackend):
-    """Forked (or spawned) workers, each with its own channels.
-
-    A worker gets a task queue, a stop event (the graceful-drain
-    soft-cancel) and a result pipe its main thread and progress reporter
-    write under one lock; a parent-side reader
-    thread per pipe feeds one inbox.  Nothing on the result path is
-    shared between workers: a worker killed mid-send tears only its own
-    stream, which then reads as EOF.  (A shared multiprocessing queue
-    serialises its writers with a cross-process lock, and a worker that
-    dies holding it silences every other worker for good.)
-    """
-
-    name = "multiprocessing"
-
-    def __init__(self, spec: WorkerSpec) -> None:
-        self.spec = spec
-        self.ctx = _context()
-        self.inbox: queue_module.Queue = queue_module.Queue()
-        self._next_id = 0
-
-    def spawn(self) -> _MpHandle:
-        worker_id = self._next_id
-        self._next_id += 1
-        task_queue = self.ctx.Queue()
-        stop_event = self.ctx.Event()
-        reader, writer = self.ctx.Pipe(duplex=False)
-        proc = self.ctx.Process(
-            target=_mp_worker_main,
-            args=(worker_id, self.spec, task_queue, writer, stop_event),
-            daemon=True,
+    if name not in ALL_BACKEND_NAMES:
+        raise ValueError(
+            f"unknown executor backend {name!r} "
+            f"(available: {', '.join(ALL_BACKEND_NAMES)})"
         )
-        proc.start()
-        # The worker now holds the only write end, so its exit is EOF.
-        writer.close()
-        threading.Thread(
-            target=self._pump, args=(reader,),
-            name=f"repro-worker-{worker_id}-reader", daemon=True,
-        ).start()
-        return _MpHandle(worker_id, proc, task_queue, stop_event)
+    from repro.core.coordinator import SocketBackend
 
-    def _pump(self, reader) -> None:
-        with reader:
-            while True:
-                try:
-                    message = reader.recv()
-                except (EOFError, OSError):
-                    return
-                self.inbox.put(message)
-
-    def recv(self, timeout: float) -> tuple | None:
-        try:
-            return self.inbox.get(timeout=timeout)
-        except queue_module.Empty:
-            return None
-
-    def close(self) -> None:
-        """Nothing to release: each reader ends with its worker."""
-
-
-#: Every backend ``--backend`` may name.  The socket backend's module
-#: (:mod:`repro.core.coordinator`) is imported on demand, so pool workers
-#: never pay for the TCP machinery they do not use.
-ALL_BACKEND_NAMES: tuple[str, ...] = (MultiprocessingBackend.name, "socket")
-
-
-def create_backend(
-    name: str, spec: WorkerSpec, options: dict | None = None
-) -> ExecutorBackend:
-    """Instantiate a backend by name.
-
-    *options* are backend-specific constructor keywords (the socket
-    backend's listen address, accept timeout, autospawn switch...); the
-    multiprocessing backend accepts none.
-    """
-    if name == MultiprocessingBackend.name:
-        return MultiprocessingBackend(spec, **(options or {}))
-    if name == "socket":
-        from repro.core.coordinator import SocketBackend
-
-        return SocketBackend(spec, **(options or {}))
-    raise ValueError(
-        f"unknown executor backend {name!r} "
-        f"(available: {', '.join(ALL_BACKEND_NAMES)})"
+    return SocketBackend(
+        spec, fork=name == "multiprocessing", **(options or {})
     )

@@ -8,13 +8,15 @@ depends on any other cell's execution, and a parallel run is bit-identical
 to the serial one *by construction* — the scheduler only has to merge
 results back into the canonical ``config.cells()`` order.
 
-Architecture (one parent, N workers behind a pluggable backend):
+Architecture (one parent, N workers, one session each):
 
-* **Pluggable execution backends.**  The scheduler speaks to workers only
-  through the :class:`~repro.core.executor.ExecutorBackend` seam — the
-  in-process multiprocessing pool and the multi-host socket coordinator
-  (CRC-checked frames over TCP) are interchangeable behind the same two
-  methods (``spawn``/``recv``).
+* **One worker session, two launchers.**  The scheduler speaks to
+  workers only through the coordinator
+  (:class:`~repro.core.coordinator.SocketBackend`): ``spawn`` a worker,
+  ``recv`` its next message.  Every worker speaks the same CRC-checked,
+  epoch-stamped frames; ``--backend`` only picks whether it is forked
+  from the parent (``multiprocessing``) or starts a fresh interpreter
+  that dials in over TCP (``socket``).
 * **Tasks, not grids.**  The scheduler runs a list of
   :class:`~repro.core.campaign.CellTask` objects — whole cells of a campaign
   or the batches of an adaptive wave — for
@@ -79,7 +81,7 @@ import dataclasses
 import heapq
 import time
 from collections import deque
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro import obs
 
@@ -90,16 +92,13 @@ from repro.core.campaign import (
     run_tasks,
 )
 from repro.core.avf import ClassCounts
-from repro.core.executor import (
-    ExecutorBackend,
-    ResiliencePolicy,
-    WorkerHandle,
-    WorkerSpec,
-    create_backend,
-)
+from repro.core.executor import ResiliencePolicy, WorkerSpec, create_backend
 from repro.core.supervisor import Incident
 from repro.errors import InjectionIncident
 from repro.workloads import get_workload
+
+if TYPE_CHECKING:
+    from repro.core.coordinator import SocketBackend, _SocketHandle
 
 #: How long the parent waits on the backend before running its liveness /
 #: stall / retry tick.  Small enough that a crashed worker is noticed
@@ -173,8 +172,8 @@ class _Scheduler:
         self.results: dict[int, CellCheckpoint] = {}
 
         # Pool / dispatch state.
-        self.backend: ExecutorBackend | None = None
-        self.handles: dict[int, WorkerHandle] = {}
+        self.backend: SocketBackend | None = None
+        self.handles: dict[int, _SocketHandle] = {}
         self.assigned: dict[int, list[CellTask]] = {}
         self.retired: set[int] = set()
         self.idle: set[int] = set()

@@ -231,8 +231,6 @@ def test_quarantined_cell_is_not_granted_again(monkeypatch):
     # short (quarantined); granting it again would loop forever.
     import os
 
-    from repro.core.executor import ResiliencePolicy
-
     parent = os.getpid()
     real = supervisor_module.run_one_injection
 
@@ -244,10 +242,9 @@ def test_quarantined_cell_is_not_granted_again(monkeypatch):
         return real(workload, component, *args, **kwargs)
 
     monkeypatch.setattr(supervisor_module, "run_one_injection", poison)
-    policy = ResiliencePolicy(retry_base_delay=0.01, retry_max_delay=0.05)
     supervisor = Supervisor()
     report = run_campaign_adaptive(
-        _config(samples=60), ci_target=0.3, jobs=2, policy=policy,
+        _config(samples=60), ci_target=0.3, jobs=2,
         supervisor=supervisor,
     )
     assert report.result.cell("crc32", "itlb", 1).counts.total == 0

@@ -36,11 +36,7 @@ CONFIG = CampaignConfig(
 
 #: The harness default, minus sleeps: sub-second progress reports and
 #: retries so stall detection happens in test time.
-POLICY = ResiliencePolicy(
-    hang_timeout=1.0,
-    retry_base_delay=0.02,
-    retry_max_delay=0.2,
-)
+POLICY = ResiliencePolicy(hang_timeout=1.0)
 
 
 def _kinds(outcome):
@@ -96,24 +92,21 @@ def test_chaos_stall_escalates_and_stays_identical(tmp_path, backend):
     assert retry.details["cause"] == "worker-hang"
 
 
-def test_chaos_net_matrix_on_socket_backend_is_byte_identical(tmp_path):
-    """The distributed failure modes: connection drop mid-cell, partition
-    during the checkpoint stream, corrupted frame, stale-epoch rejoin and
-    duplicate delivery — every one byte-identical to serial."""
+@pytest.mark.parametrize("backend", ["multiprocessing", "socket"])
+def test_chaos_net_matrix_is_byte_identical(tmp_path, backend):
+    """The session failure modes: stream cut mid-cell, partition during
+    the checkpoint stream, corrupted frame and duplicate delivery — every
+    one byte-identical to serial, on forked and TCP workers alike.  The
+    socket row adds the stale-epoch rejoin; a forked worker never
+    rejoins."""
     # Network faults surface as instant EOF, so stall detection is not
-    # part of these scenarios.
-    policy = ResiliencePolicy(
-        hang_timeout=30.0,
-        retry_base_delay=0.02,
-        retry_max_delay=0.2,
-    )
+    # part of these scenarios; the long hang timeout proves it.
+    scenarios = ("disconnect", "partition", "corrupt-frame", "dup-deliver")
+    if backend == "socket":
+        scenarios += ("stale-epoch",)
     report = run_chaos(
-        CONFIG,
-        scenarios=(
-            "disconnect", "partition", "corrupt-frame", "stale-epoch",
-            "dup-deliver",
-        ),
-        jobs=2, seed=0, workdir=tmp_path, policy=policy, backend="socket",
+        CONFIG, scenarios=scenarios, jobs=2, seed=0, workdir=tmp_path,
+        policy=ResiliencePolicy(hang_timeout=30.0), backend=backend,
     )
     by_name = {outcome.scenario: outcome for outcome in report.outcomes}
     assert report.ok, {
@@ -125,21 +118,25 @@ def test_chaos_net_matrix_on_socket_backend_is_byte_identical(tmp_path):
         kinds = _kinds(by_name[scenario])
         assert "worker-crash" in kinds, (scenario, kinds)
         assert "retry" in kinds, (scenario, kinds)
-    # The stale rejoin actually happened: the worker consumed its
-    # one-shot marker, so the coordinator saw (and rejected) a join
-    # claiming a dead session's epoch before the clean retry succeeded.
-    stale_flag = (
-        tmp_path / "stale-epoch" / "flags" / "chaos-stale-rejoin.fired"
-    )
-    assert stale_flag.exists()
+    if backend == "socket":
+        # The stale rejoin actually happened: the worker consumed its
+        # one-shot marker, so the coordinator saw (and rejected) a join
+        # claiming a dead session's epoch before the clean retry
+        # succeeded.
+        stale_flag = (
+            tmp_path / "stale-epoch" / "flags" / "chaos-stale-rejoin.fired"
+        )
+        assert stale_flag.exists()
 
 
-def test_chaos_net_scenarios_refuse_non_socket_backends(tmp_path):
+def test_chaos_stale_epoch_refuses_forked_workers(tmp_path):
+    """Only a TCP worker rejoins, so only it can claim a stale epoch."""
     with pytest.raises(ValueError, match="socket"):
         run_chaos(
-            CONFIG, scenarios=("disconnect",), jobs=2, seed=0,
+            CONFIG, scenarios=("disconnect", "stale-epoch"), jobs=2, seed=0,
             workdir=tmp_path, policy=POLICY, backend="multiprocessing",
         )
+    assert not (tmp_path / "reference-store.json").exists()
 
 
 @pytest.mark.parametrize("backend", ["multiprocessing", "socket"])
@@ -208,9 +205,7 @@ def test_poison_cell_respects_incident_budget(tmp_path):
     with pytest.raises(IncidentBudgetExceeded):
         run_campaign(
             CONFIG, jobs=2, supervisor=supervisor,
-            policy=ResiliencePolicy(
-                max_attempts=2, retry_base_delay=0.02, retry_max_delay=0.1,
-            ),
+            policy=ResiliencePolicy(hang_timeout=2.0, max_attempts=2),
             chaos=spec,
         )
 
