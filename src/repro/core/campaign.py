@@ -989,8 +989,9 @@ def run_tasks(
 
     The one executor of cell tasks: at ``jobs <= 1`` they run in order,
     in-process; otherwise on the resilient scheduler of
-    :mod:`repro.core.parallel`, over the executor backend *backend*
-    (*backend_options* go to its constructor), with *policy* (a
+    :mod:`repro.core.parallel`, over the executor backend *backend* (a
+    name in :data:`~repro.core.executor.ALL_BACKEND_NAMES`, checked before
+    any work; *backend_options* go to its constructor), with *policy* (a
     :class:`~repro.core.executor.ResiliencePolicy`) tuning its failure
     handling and *chaos* (a :class:`~repro.core.chaos.ChaosSpec`, pooled
     runs only) injecting faults into it.  Every task runs through
@@ -1010,9 +1011,16 @@ def run_tasks(
             f"(got {jobs})"
         )
     if jobs > 1:
-        from repro.core.executor import ResiliencePolicy, WorkerSpec
+        from repro.core.executor import (
+            ALL_BACKEND_NAMES, ResiliencePolicy, WorkerSpec,
+        )
         from repro.core.parallel import _Scheduler
 
+        if backend not in ALL_BACKEND_NAMES:
+            raise ValueError(
+                f"unknown executor backend {backend!r} "
+                f"(available: {', '.join(ALL_BACKEND_NAMES)})"
+            )
         policy = policy if policy is not None else ResiliencePolicy()
         spec = WorkerSpec(
             config=config, core_cfg=core_cfg,

@@ -52,9 +52,9 @@ TCP connection for a socket one — and run on both backends, except
   (the healed-partition double-send); duplicates must be suppressed by
   first-canonical-result-wins.
 
-Worker-side network events fire through a transport hook that every
-worker's session registers around
-:func:`~repro.core.executor.worker_loop` (:func:`set_transport_hook`).
+Worker-side network events act through the transport saboteur that
+every worker's session hands :func:`~repro.core.executor.worker_loop`,
+which passes it to each sample's stop probe.
 
 Worker-side events fire **once** across reschedules (flag files — the
 same mechanism a real heisenbug's nondeterminism provides, made
@@ -87,18 +87,6 @@ NET_SCENARIOS = (
 #: Exit code chaos kills die with — distinctive in incident journals.
 CHAOS_EXIT_CODE = 64
 
-#: The worker session's registered transport saboteur (or ``None``).
-#: Takes one argument, the event kind: ``"disconnect"`` severs the
-#: connection, ``"corrupt"`` emits a bad-CRC frame.  Process-local by
-#: design: each worker process registers its own.
-_TRANSPORT_HOOK = {"fn": None}
-
-
-def set_transport_hook(fn) -> None:
-    """Register (or with ``None`` clear) the transport chaos hook."""
-    _TRANSPORT_HOOK["fn"] = fn
-
-
 @dataclass(frozen=True)
 class ChaosEvent:
     """One worker-side fault: fires when a worker's stop probe reaches
@@ -109,7 +97,7 @@ class ChaosEvent:
     (sleep for *duration* with no CPU progress, exactly what a wedged or
     partitioned worker looks like), ``"disconnect"`` (sever the session
     stream mid-cell) or ``"corrupt"`` (emit a frame whose CRC lies) —
-    the last two act through the registered transport hook.
+    the last two act through the worker session's transport saboteur.
     *flag* (optional explicit path) marks the event as fired so the
     rescheduled cell does not re-trigger it.
     """
@@ -151,9 +139,14 @@ class ChaosSpec:
         return Path(self.flag_dir) / f"chaos-event-{index}.fired"
 
     def worker_event(
-        self, workload: str, component: str, cardinality: int, ordinal: int
+        self, workload: str, component: str, cardinality: int, ordinal: int,
+        sabotage=None,
     ) -> None:
-        """Probe hook run by workers once per sample; may not return."""
+        """Probe hook run by workers once per sample; may not return.
+
+        *sabotage* is the session's transport saboteur: called with
+        ``"disconnect"`` it severs the connection, with ``"corrupt"`` it
+        emits a bad-CRC frame."""
         for index, event in enumerate(self.events):
             if (
                 event.workload == workload
@@ -174,7 +167,7 @@ class ChaosSpec:
                 elif event.kind == "stall":
                     time.sleep(event.duration)
                 else:
-                    _TRANSPORT_HOOK["fn"](event.kind)
+                    sabotage(event.kind)
 
 
 class TornWriteStore:

@@ -25,7 +25,8 @@ coordinator's session epoch):
 worker → parent   ``("join", {"pid", "host", "epoch"})``
 parent → worker   ``("welcome", worker_id, epoch, WorkerSpec)`` or
                   ``("reject", reason)``
-parent → worker   ``("task", batch|None)`` · ``("stop",)``
+parent → worker   ``("task", batch|None)`` (``None``: stop at the next
+                  sample boundary, or at once if idle, and shut down)
 worker → parent   the :func:`worker_loop` stream (ready/progress/partial/
                   cell/telemetry/incident/fatal/stopped/bye)
 
@@ -72,7 +73,6 @@ import time
 from pathlib import Path
 
 from repro import obs
-from repro.core import chaos as chaos_module
 from repro.core.executor import WorkerSpec, worker_loop
 from repro.core.wire import (
     FRAME_CORRUPT,
@@ -150,12 +150,9 @@ class _SocketHandle:
             self._dead.set()  # the liveness poll turns this into a death
 
     def send(self, batch) -> None:
-        """Dispatch a task batch (or ``None`` = shut down politely)."""
+        """Dispatch a task batch, or ``None``: stop at the next sample
+        boundary (flushing a final checkpoint) and shut down."""
         self._write(("task", batch))
-
-    def soft_cancel(self) -> None:
-        """Ask the worker to stop at the next sample boundary."""
-        self._write(("stop",))
 
     def sever(self) -> None:
         """End the session: the worker reads EOF and abandons its cell at
@@ -191,10 +188,9 @@ class _SocketHandle:
         return self._pid
 
     def join(self, timeout: float) -> None:
+        """Reap a forked worker; one that dialled in has no process here."""
         if self._proc is not None:
             self._proc.join(timeout=timeout)
-        else:
-            self._dead.wait(timeout=timeout)
 
 
 def _context() -> multiprocessing.context.BaseContext:
@@ -209,8 +205,10 @@ class SocketBackend:
     """The parent's side of every worker session: start workers,
     handshake, pump frames.
 
-    The scheduler sees ``spawn()`` a worker, ``recv()`` the next message
-    from any worker (``None`` on timeout) and ``close()`` when done.
+    The scheduler builds one per run and sees ``spawn()`` a worker,
+    ``recv()`` the next message from any worker (``None`` on timeout)
+    and ``close()`` when done, which kills every worker and reaps every
+    process it started.
     Every worker speaks the same framed session
     (:func:`_serve_session`) over a stream of its own; the launchers
     differ only in how the worker process starts and how its stream
@@ -388,14 +386,7 @@ class SocketBackend:
         handle = _SocketHandle(
             worker_id, conn, wfile, self.epoch, info.get("pid"), proc
         )
-        try:
-            with handle._lock:
-                write_frame(
-                    wfile, ("welcome", worker_id, self.epoch, self.spec),
-                    self.epoch,
-                )
-        except (BrokenPipeError, ValueError, OSError):
-            handle._dead.set()
+        handle._write(("welcome", worker_id, self.epoch, self.spec))
         threading.Thread(
             target=self._pump, args=(rfile, handle),
             name=f"repro-worker-{worker_id}-reader", daemon=True,
@@ -445,8 +436,12 @@ class SocketBackend:
                 break
             _close_quietly(rfile, wfile, conn)
         for proc in self._procs:
-            if proc.poll() is None:
-                proc.kill()
+            proc.kill()  # a no-op once the process has been reaped
+        for proc in self._procs:
+            try:
+                proc.wait(timeout=1.0)
+            except subprocess.TimeoutExpired:  # pragma: no cover - unkillable
+                pass
 
     # -- local worker autospawn --------------------------------------------
 
@@ -504,10 +499,11 @@ def _serve_session(
 
     One lock serialises every frame this side writes — the main
     thread's, the progress reporter's and a chaos corruption — so frames
-    never interleave.  Returns ``(status, epoch, spec)`` where status is
-    ``"shutdown"`` (parent said we are done), ``"lost"`` (connection
-    died — candidate for reconnect) or ``"rejected"`` (handshake
-    refused).
+    never interleave.  :func:`worker_loop` gets the session's transport
+    saboteur for network chaos.  Returns ``(status, epoch, spec)`` where
+    status is ``"shutdown"`` (parent said we are done), ``"lost"``
+    (connection died — candidate for reconnect) or ``"rejected"``
+    (handshake refused).
     """
     rfile = sock.makefile("rb")
     wfile = sock.makefile("wb")
@@ -543,19 +539,18 @@ def _serve_session(
     write_lock = threading.Lock()
 
     def reader() -> None:
-        while True:
-            incoming, _st = read_frame_ex(rfile, epoch)
-            if incoming is None:
-                stop_event.set()
-                tasks.put(None)
-                return
-            body = incoming.message
-            if body[0] == "stop":
-                stop_event.set()
-            elif body[0] == "task":
-                if body[1] is None:
-                    state["shutdown"] = True
-                tasks.put(body[1])
+        # However the stream ends, the worker reads a shutdown next.
+        try:
+            while (incoming := read_frame_ex(rfile, epoch)[0]) is not None:
+                body = incoming.message
+                if body[0] == "task":
+                    if body[1] is None:
+                        state["shutdown"] = True
+                        stop_event.set()
+                    tasks.put(body[1])
+        finally:
+            stop_event.set()
+            tasks.put(None)
 
     threading.Thread(
         target=reader, name="repro-worker-reader", daemon=True
@@ -585,16 +580,12 @@ def _serve_session(
             except (BrokenPipeError, ValueError, OSError):
                 pass
 
-    chaos_module.set_transport_hook(transport_chaos)
     try:
         worker_loop(
-            worker_id, spec,
-            recv_batch=lambda timeout: tasks.get(timeout=timeout),
-            send=send,
-            stop_flag=stop_event.is_set,
+            worker_id, spec, recv_batch=tasks.get, send=send,
+            stop_flag=stop_event.is_set, sabotage=transport_chaos,
         )
     finally:
-        chaos_module.set_transport_hook(None)
         # Wake the reader thread first: closing the buffered reader it is
         # blocked in would wait for the coordinator to hang up.
         try:

@@ -9,9 +9,7 @@ and the parent's view of what a worker is:
 * :func:`worker_loop` — the worker body, batches in and messages out;
 * :class:`ResiliencePolicy` — the tunables of the failure handling
   layered on top (see DESIGN.md §10);
-* :func:`create_backend` — the coordinator
-  (:class:`~repro.core.coordinator.SocketBackend`) that starts workers
-  and speaks to them.
+* :data:`ALL_BACKEND_NAMES` — the ways a worker process can start.
 
 Every worker runs :func:`worker_loop` inside the one framed session of
 :mod:`repro.core.coordinator`: CRC-checked, epoch-stamped frames
@@ -24,8 +22,9 @@ local or on another host, that dials in over TCP.
 The messages a worker exchanges define it:
 
 parent → worker   ``batch`` (list of
-                  :class:`~repro.core.campaign.CellTask`), ``None``
-                  (shutdown), soft-cancel (the session's stop flag)
+                  :class:`~repro.core.campaign.CellTask`) or ``None``
+                  (shutdown, which also raises the session's stop flag;
+                  a worker reads it too once its stream ends)
 worker → parent   ``("ready", wid)`` · ``("progress", wid, cpu_s)`` ·
                   ``("partial", wid, index, key, checkpoint)`` ·
                   ``("cell", wid, index, end_state)`` ·
@@ -54,7 +53,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import pickle
-import queue as queue_module
 import signal
 import threading
 import time
@@ -235,13 +233,15 @@ class _TelemetryShipper:
 
 
 def _make_probe(
-    task: CellTask, spec: WorkerSpec, stop_flag: Callable[[], bool]
+    task: CellTask, spec: WorkerSpec, stop_flag: Callable[[], bool],
+    sabotage: Callable[[str], None] | None,
 ) -> Callable[[], bool]:
     """The per-sample stop probe: chaos hook + stop check.
 
     Probed once before every sample by :func:`run_cell`; the ordinal
     passed to the chaos hook counts probes within this dispatch (it
     restarts at 0 when a rescheduled cell resumes from a checkpoint).
+    *sabotage* is the session's transport saboteur for network chaos.
     """
     ordinals = itertools.count()
     chaos = spec.chaos
@@ -251,6 +251,7 @@ def _make_probe(
         if chaos is not None:
             chaos.worker_event(
                 task.workload, task.component, task.cardinality, ordinal,
+                sabotage,
             )
         return stop_flag()
 
@@ -271,18 +272,21 @@ def _report_progress(
 def worker_loop(
     worker_id: int,
     spec: WorkerSpec,
-    recv_batch: Callable[[float], object],
+    recv_batch: Callable[[], object],
     send: Callable[[tuple], None],
     stop_flag: Callable[[], bool],
+    sabotage: Callable[[str], None] | None = None,
 ) -> None:
     """The worker body: batches in, messages out.
 
     *send* must be safe to call from two threads: the progress reporter
-    shares it with this one.  *recv_batch* blocks up to its timeout and
-    raises ``queue.Empty`` on expiry; it returns a list of
-    :class:`CellTask` or ``None`` for shutdown.  *stop_flag* is the
-    soft-cancel probe — polled between samples, so a cancelled worker
-    flushes one final mid-cell checkpoint before exiting.  SIGINT/SIGTERM are ignored here: shutdown is the
+    shares it with this one.  *recv_batch* blocks until the next list of
+    :class:`CellTask` arrives, or returns ``None`` for shutdown (which
+    the session also delivers when its stream ends).  *stop_flag* is the
+    stop probe, raised by the shutdown and polled between samples, so a
+    stopped worker flushes one final mid-cell checkpoint before exiting.  *sabotage*,
+    when given, is the session's transport saboteur that network chaos
+    events act through.  SIGINT/SIGTERM are ignored here: shutdown is the
     parent's job, delivered through the stop flag.  A daemon thread
     reports CPU progress for as long as the loop runs.
     """
@@ -291,6 +295,12 @@ def worker_loop(
             signal.signal(signum, signal.SIG_IGN)
         except (ValueError, OSError):  # pragma: no cover - non-main thread
             pass
+    # Fresh per-worker telemetry: anything inherited over fork belongs to
+    # the parent and must not be double-reported from here.
+    obs.disable()
+    tel = obs.enable() if spec.telemetry_enabled else None
+    shipper = _TelemetryShipper(send, worker_id, tel)
+    supervisor = _ForwardingSupervisor(send, worker_id)
     finished = threading.Event()
     threading.Thread(
         target=_report_progress,
@@ -298,102 +308,64 @@ def worker_loop(
         name=f"repro-worker-{worker_id}-progress", daemon=True,
     ).start()
     try:
-        _serve_batches(worker_id, spec, recv_batch, send, stop_flag)
+        send(("ready", worker_id))
+        while True:
+            wait_begin = time.perf_counter()
+            batch = recv_batch()
+            if tel is not None:
+                tel.metrics.histogram("time.worker.task_wait").observe(
+                    time.perf_counter() - wait_begin
+                )
+            if batch is None:
+                shipper.ship()
+                send(("bye", worker_id))
+                return
+            with obs.span("worker-batch", worker=worker_id, cells=len(batch)):
+                for task in batch:
+                    if stop_flag():
+                        shipper.ship()
+                        send(("stopped", worker_id))
+                        return
+                    try:
+                        state = run_task(
+                            task, spec.config, spec.core_cfg,
+                            supervisor=supervisor,
+                            store=_SendStore(send, worker_id, task.index),
+                            checkpoint_every=spec.checkpoint_every,
+                            stop=_make_probe(task, spec, stop_flag, sabotage),
+                            verify=spec.verify,
+                            prune=spec.prune,
+                        )
+                    except CampaignInterrupted:
+                        # Tagged with the cell: a stopped duplicate of a
+                        # cell that is already merged then counts as lost,
+                        # not as extra simulation.
+                        shipper.ship(task.index)
+                        send(("stopped", worker_id))
+                        return
+                    except Exception as exc:  # noqa: BLE001 - must not hang the pool
+                        # The parent re-raises the exception itself, as
+                        # serial execution would; the text covers an
+                        # unpicklable one.
+                        shipper.ship()
+                        send(("fatal", worker_id, task.index,
+                              type(exc).__name__,
+                              f"{exc}\n{traceback_module.format_exc()}",
+                              _portable(exc)))
+                        return
+                    # Telemetry first, completion second: messages from
+                    # one worker arrive in order, so the parent still
+                    # holds the cell as pending when its metric delta
+                    # arrives.
+                    shipper.ship(task.index)
+                    send(("cell", worker_id, task.index, state))
+            shipper.ship()
+            send(("ready", worker_id))
     finally:
         finished.set()
-
-
-def _serve_batches(
-    worker_id: int,
-    spec: WorkerSpec,
-    recv_batch: Callable[[float], object],
-    send: Callable[[tuple], None],
-    stop_flag: Callable[[], bool],
-) -> None:
-    # Fresh per-worker telemetry: anything inherited over fork belongs to
-    # the parent and must not be double-reported from here.
-    obs.disable()
-    tel = obs.enable() if spec.telemetry_enabled else None
-    shipper = _TelemetryShipper(send, worker_id, tel)
-    supervisor = _ForwardingSupervisor(send, worker_id)
-    send(("ready", worker_id))
-    while True:
-        wait_begin = time.perf_counter() if tel is not None else 0.0
-        try:
-            batch = recv_batch(60.0)
-        except queue_module.Empty:
-            if stop_flag():  # pragma: no cover - parent gave up
-                return
-            continue  # pragma: no cover - parent merely busy
-        if tel is not None:
-            tel.metrics.histogram("time.worker.task_wait").observe(
-                time.perf_counter() - wait_begin
-            )
-        if batch is None:
-            shipper.ship()
-            send(("bye", worker_id))
-            return
-        with obs.span("worker-batch", worker=worker_id, cells=len(batch)):
-            for task in batch:
-                if stop_flag():
-                    shipper.ship()
-                    send(("stopped", worker_id))
-                    return
-                try:
-                    state = run_task(
-                        task, spec.config, spec.core_cfg,
-                        supervisor=supervisor,
-                        store=_SendStore(send, worker_id, task.index),
-                        checkpoint_every=spec.checkpoint_every,
-                        stop=_make_probe(task, spec, stop_flag),
-                        verify=spec.verify,
-                        prune=spec.prune,
-                    )
-                except CampaignInterrupted:
-                    # Tagged with the cell: a soft-cancelled duplicate of a
-                    # cell that is already merged then counts as lost, not
-                    # as extra simulation.
-                    shipper.ship(task.index)
-                    send(("stopped", worker_id))
-                    return
-                except Exception as exc:  # noqa: BLE001 - must not hang the pool
-                    # The parent re-raises the exception itself, as serial
-                    # execution would; the text covers an unpicklable one.
-                    shipper.ship()
-                    send(("fatal", worker_id, task.index, type(exc).__name__,
-                          f"{exc}\n{traceback_module.format_exc()}",
-                          _portable(exc)))
-                    return
-                # Telemetry first, completion second: messages from one
-                # worker arrive in order, so the parent still holds the
-                # cell as pending when its metric delta arrives.
-                shipper.ship(task.index)
-                send(("cell", worker_id, task.index, state))
-        shipper.ship()
-        send(("ready", worker_id))
-
-
 
 
 #: Every name ``--backend`` accepts.  The name picks how a worker process
 #: starts, nothing else: ``multiprocessing`` forks it from the parent,
 #: ``socket`` starts a fresh interpreter that dials in over TCP.
 ALL_BACKEND_NAMES: tuple[str, ...] = ("multiprocessing", "socket")
-
-
-def create_backend(name: str, spec: WorkerSpec, options: dict | None = None):
-    """The coordinator for *name*'s workers.
-
-    *options* are the socket launcher's constructor keywords (listen
-    address, accept timeout, autospawn switch); forked workers take none.
-    """
-    if name not in ALL_BACKEND_NAMES:
-        raise ValueError(
-            f"unknown executor backend {name!r} "
-            f"(available: {', '.join(ALL_BACKEND_NAMES)})"
-        )
-    from repro.core.coordinator import SocketBackend
-
-    return SocketBackend(
-        spec, fork=name == "multiprocessing", **(options or {})
-    )

@@ -12,11 +12,14 @@ Architecture (one parent, N workers, one session each):
 
 * **One worker session, two launchers.**  The scheduler speaks to
   workers only through the coordinator
-  (:class:`~repro.core.coordinator.SocketBackend`): ``spawn`` a worker,
-  ``recv`` its next message.  Every worker speaks the same CRC-checked,
-  epoch-stamped frames; ``--backend`` only picks whether it is forked
-  from the parent (``multiprocessing``) or starts a fresh interpreter
-  that dials in over TCP (``socket``).
+  (:class:`~repro.core.coordinator.SocketBackend`, which it builds
+  itself): ``spawn`` a worker, ``recv`` its next message.  Every worker
+  speaks the same CRC-checked, epoch-stamped frames; ``--backend`` only
+  picks whether it is forked from the parent (``multiprocessing``) or
+  starts a fresh interpreter that dials in over TCP (``socket``).
+* **One work queue, one message pump.**  Initial batches and retries
+  wait in one heap ordered by when they are due; every message, while
+  running and while stopping, goes through :meth:`_Scheduler._handle`.
 * **Tasks, not grids.**  The scheduler runs a list of
   :class:`~repro.core.campaign.CellTask` objects — whole cells of a campaign
   or the batches of an adaptive wave — for
@@ -64,10 +67,13 @@ Architecture (one parent, N workers, one session each):
   incident (worker crash, stall, poison cell), to the campaign's one
   :class:`~repro.core.supervisor.Supervisor`, which journals, counts and
   escalates it; its raise becomes the scheduler's abort.  The parent
-  also merges per-cell metric deltas in canonical order, reports each
-  finished task to its caller (which fires progress in canonical order),
-  and on SIGINT/SIGTERM drains final checkpoints so a rerun on the same
-  store continues bit-identically.
+  also merges per-cell metric deltas in canonical order and reports each
+  finished task to its caller (which fires progress in canonical order).
+  SIGINT/SIGTERM, an abort and the end of the run stop the pool alike:
+  every worker is handed its shutdown at once, and the pump persists
+  the final checkpoints until every worker has said goodbye (or
+  ``_DRAIN_TIMEOUT`` passes), so a rerun on the same store continues
+  bit-identically.
 
 The deterministic chaos harness (:mod:`repro.core.chaos`,
 ``repro-campaign chaos``) injects worker kills, stalls, dropped and
@@ -79,9 +85,9 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import itertools
 import time
-from collections import deque
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro import obs
 
@@ -92,18 +98,21 @@ from repro.core.campaign import (
     run_tasks,
 )
 from repro.core.avf import ClassCounts
-from repro.core.executor import ResiliencePolicy, WorkerSpec, create_backend
+from repro.core.coordinator import SocketBackend, _SocketHandle
+from repro.core.executor import ResiliencePolicy, WorkerSpec
 from repro.core.supervisor import Incident
 from repro.errors import InjectionIncident
 from repro.workloads import get_workload
-
-if TYPE_CHECKING:
-    from repro.core.coordinator import SocketBackend, _SocketHandle
 
 #: How long the parent waits on the backend before running its liveness /
 #: stall / retry tick.  Small enough that a crashed worker is noticed
 #: promptly, large enough not to busy-wait.
 _POLL_INTERVAL = 0.1
+
+#: How long a stopping pool may take to wind down — finish the current
+#: sample, flush its checkpoint and say goodbye — before the workers
+#: still running are killed.
+_DRAIN_TIMEOUT = 10.0
 
 #: CPU seconds a progress report must add to the worker's last accepted
 #: one to count as progress.  Far above the reporter's own measurement
@@ -140,6 +149,23 @@ def _affinity_batches(tasks: list[CellTask], jobs: int) -> list[list[CellTask]]:
     return batches
 
 
+@dataclasses.dataclass
+class _Worker:
+    """The scheduler's record of one pool worker: the batch it holds
+    (finished cells stay in it until it is taken), whether it sent its
+    last message or was killed (*retired*) and whether it asked for work
+    when none was due (*idle*); then the failure detector's state, when
+    it last made CPU progress (or was handed work) and how much CPU that
+    was."""
+
+    handle: _SocketHandle
+    batch: list[CellTask] = dataclasses.field(default_factory=list)
+    retired: bool = False
+    idle: bool = False
+    last_progress: float = 0.0
+    progress_cpu: float = 0.0
+
+
 class _Scheduler:
     """One list of cell tasks' resilient parent loop over an executor
     backend, running every task as *spec* describes under *supervisor*;
@@ -160,7 +186,7 @@ class _Scheduler:
         done: Callable[[CellTask, CellCheckpoint], None] | None,
     ) -> None:
         self.spec = spec
-        self.jobs = jobs
+        self.jobs = max(1, min(jobs, len(tasks)))
         self.store = store
         self.supervisor = supervisor
         self.backend_name = backend
@@ -169,31 +195,23 @@ class _Scheduler:
         self.done = done
 
         self.tasks: dict[int, CellTask] = {task.index: task for task in tasks}
-        self.results: dict[int, CellCheckpoint] = {}
 
-        # Pool / dispatch state.
+        # Pool / dispatch state.  ``queue`` holds every batch waiting for
+        # a worker — initial ones due at once, retries after their
+        # backoff — as ``(due, seq, batch)``.
         self.backend: SocketBackend | None = None
-        self.handles: dict[int, _SocketHandle] = {}
-        self.assigned: dict[int, list[CellTask]] = {}
-        self.retired: set[int] = set()
-        self.idle: set[int] = set()
-        # The failure detector's state: when each worker last made CPU
-        # progress (or was handed work), and how much CPU that was.
-        self.last_progress: dict[int, float] = {}
-        self.progress_cpu: dict[int, float] = {}
-        self.batches: deque[list[CellTask]] = deque()
-        self.retry_heap: list[tuple[float, int, list[CellTask]]] = []
-        self._retry_seq = 0
+        self.workers: dict[int, _Worker] = {}
+        self.queue: list[tuple[float, int, list[CellTask]]] = []
+        self._seq = itertools.count()
         self.attempts: dict[int, int] = {}
         self.restarts = 0
-        self.max_restarts = jobs * _WORKER_RESTARTS
+        self.max_restarts = self.jobs * _WORKER_RESTARTS
         self.degraded = False
         self.global_stop = False
 
-        # Per-task progress state.  ``live`` holds each pending task's
-        # freshest acked checkpoint — where a retry resumes.
-        self.pending_done = set(self.tasks)
-        self.live: dict[int, CellCheckpoint | None] = {
+        # A task is pending until it has an end state; ``pending`` holds
+        # its freshest acked checkpoint — where a retry resumes.
+        self.pending: dict[int, CellCheckpoint | None] = {
             task.index: task.start for task in tasks
         }
 
@@ -233,7 +251,7 @@ class _Scheduler:
         try:
             self.supervisor.record(incident, cause)
         except InjectionIncident as exc:
-            self.abort_exc = exc
+            self._abort(exc)
 
     def _fabric_incident(self, kind, index, error_type, message, details):
         task = self.tasks.get(index)
@@ -263,7 +281,7 @@ class _Scheduler:
     def _retry_task(self, index: int) -> CellTask:
         """*index*'s task, resuming from its freshest acked checkpoint."""
         return dataclasses.replace(
-            self.tasks[index], start=self.live.get(index),
+            self.tasks[index], start=self.pending.get(index),
             attempt=self.attempts.get(index, 0),
         )
 
@@ -277,16 +295,14 @@ class _Scheduler:
             task.samples - state.counts.total
             - (task.start.lost if task.start else 0)
         )
-        self.results[index] = state
-        self.pending_done.discard(index)
-        self.live.pop(index, None)
+        self.pending.pop(index, None)
         if self.done is not None:
             self.done(task, state)
 
-    def _alive_ids(self) -> list[int]:
+    def _live_workers(self) -> list[_Worker]:
         return [
-            wid for wid, handle in self.handles.items()
-            if wid not in self.retired and handle.alive()
+            worker for worker in self.workers.values()
+            if not worker.retired and worker.handle.alive()
         ]
 
     # -- pool management ---------------------------------------------------
@@ -297,8 +313,7 @@ class _Scheduler:
         except Exception as exc:  # noqa: BLE001 - backend failure → degrade
             self._mark_degraded(f"backend spawn failed: {exc}")
             return
-        self.handles[handle.worker_id] = handle
-        self.assigned[handle.worker_id] = []
+        self.workers[handle.worker_id] = _Worker(handle)
         self._counter("exec.workers_spawned")
 
     def _mark_degraded(self, reason: str) -> None:
@@ -317,7 +332,7 @@ class _Scheduler:
         self._instant("degraded", reason=reason)
 
     def _replace_worker(self) -> None:
-        if self.degraded or self.global_stop:
+        if self.degraded:
             return
         if self.restarts >= self.max_restarts:
             self._mark_degraded(
@@ -327,29 +342,30 @@ class _Scheduler:
         self.restarts += 1
         self._spawn()
 
-    def _retire(self, worker_id: int) -> None:
-        self.retired.add(worker_id)
-        self.idle.discard(worker_id)
-
-    def _take_in_flight(self, worker_id: int) -> list[CellTask]:
-        """Unassign *worker_id*'s batch; return its still-pending cells."""
+    def _take_in_flight(self, worker: _Worker) -> list[CellTask]:
+        """Unassign *worker*'s batch; return its still-pending cells."""
         remaining = [
-            task for task in self.assigned[worker_id]
-            if task.index in self.pending_done
+            task for task in worker.batch if task.index in self.pending
         ]
-        self.assigned[worker_id] = []
+        worker.batch = []
         return remaining
 
     # -- failure handling --------------------------------------------------
 
-    def _worker_death(self, worker_id: int, kind: str, cause: str) -> None:
+    def _abort(self, exc: Exception) -> None:
+        """Fail the run with *exc* once the pool has stopped."""
+        self.abort_exc = exc
+        self._stop()
+
+    def _worker_death(self, worker: _Worker, kind: str, cause: str) -> None:
         """A worker died (or was killed for stalling): report the incident,
         reschedule its in-flight cells, and replace it within budget."""
-        handle = self.handles[worker_id]
+        handle = worker.handle
+        worker_id = handle.worker_id
         handle.kill()
         handle.join(timeout=1.0)  # reap, so exitcode is real in the record
-        self._retire(worker_id)
-        remaining = self._take_in_flight(worker_id)
+        worker.retired = True
+        remaining = self._take_in_flight(worker)
         label = self._cell_label(remaining[0].index) if remaining else "idle"
         # The telemetry a worker accumulated since its last per-cell ship
         # dies with it — count the loss instead of silently absorbing it.
@@ -395,10 +411,9 @@ class _Scheduler:
                 continue
             delay = self.policy.backoff(task.cell_key, attempt)
             heapq.heappush(
-                self.retry_heap,
-                (now + delay, self._retry_seq, [self._retry_task(index)]),
+                self.queue,
+                (now + delay, next(self._seq), [self._retry_task(index)]),
             )
-            self._retry_seq += 1
             self.supervisor.journal.append(self._fabric_incident(
                 "retry", index, "Reschedule",
                 f"attempt {attempt + 1} of {self._cell_label(index)} "
@@ -416,7 +431,7 @@ class _Scheduler:
         """A poison cell: salvage its last checkpoint as its (short) end
         state, count the missing samples as lost, and move on."""
         index = task.index
-        state = self.live.get(index)
+        state = self.pending.get(index)
         if state is None:
             # Fault-free golden run in the parent: safe (the poison is in
             # the cell's *injections*) and cached.  No RNG state to carry:
@@ -445,66 +460,49 @@ class _Scheduler:
 
     # -- dispatch ----------------------------------------------------------
 
-    def _next_batch(self, now: float) -> list[CellTask] | None:
-        if self.batches:
-            return self.batches.popleft()
-        if self.retry_heap and self.retry_heap[0][0] <= now:
-            return heapq.heappop(self.retry_heap)[2]
-        return None
-
-    def _dispatch(self, worker_id: int) -> None:
-        if self.global_stop or worker_id in self.retired:
-            return
-        batch = self._next_batch(time.monotonic())
-        if batch is None:
-            self.idle.add(worker_id)
-            return
-        batch = [
-            task for task in batch if task.index in self.pending_done
-        ]
-        if not batch:
-            self._dispatch(worker_id)
-            return
-        self._assign(worker_id, batch)
-
-    def _assign(self, worker_id: int, batch: list[CellTask]) -> None:
-        """Hand *batch* to *worker_id*; its progress clock starts now."""
-        self.assigned[worker_id] = batch
-        self.idle.discard(worker_id)
-        self.last_progress[worker_id] = time.monotonic()
-        self.handles[worker_id].send(batch)
+    def _dispatch(self, worker: _Worker) -> None:
+        """Hand *worker* the first due batch that still has pending
+        cells, or mark it idle if none is due."""
+        now = time.monotonic()
+        while self.queue and self.queue[0][0] <= now:
+            batch = [
+                task for task in heapq.heappop(self.queue)[2]
+                if task.index in self.pending
+            ]
+            if batch:
+                worker.batch = batch
+                worker.idle = False
+                worker.last_progress = now  # its progress clock starts
+                worker.handle.send(batch)
+                return
+        worker.idle = True
 
     # -- failure detection -----------------------------------------------
 
-    def _reap_dead(self) -> None:
-        for worker_id in list(self.handles):
-            if worker_id in self.retired:
-                continue
-            if not self.handles[worker_id].alive():
-                self._worker_death(worker_id, "worker-crash", "exit")
+    def _tick(self, now: float) -> None:
+        for worker in list(self.workers.values()):
+            if not worker.retired and not worker.handle.alive():
+                self._worker_death(worker, "worker-crash", "exit")
                 if self.abort_exc is not None:
                     return
-
-    def _tick(self, now: float) -> None:
         # The one failure rule: a worker holding in-flight cells whose
         # CPU progress has not advanced for hang_timeout is stalled.
         # Idle workers owe no progress.  At most one verdict per tick, so
         # every verdict is taken on a freshly drained inbox.
-        for worker_id in list(self.handles):
-            if worker_id in self.retired or not any(
-                task.index in self.pending_done
-                for task in self.assigned[worker_id]
+        for worker in list(self.workers.values()):
+            if worker.retired or not any(
+                task.index in self.pending for task in worker.batch
             ):
                 continue
-            stalled = now - self.last_progress.get(worker_id, now)
-            if stalled > self.policy.hang_timeout:
-                self._worker_death(worker_id, "worker-hang", "stall")
+            if now - worker.last_progress > self.policy.hang_timeout:
+                self._worker_death(worker, "worker-hang", "stall")
                 return
         # Due retries → idle workers.
-        while (
-            self.idle and self.retry_heap and self.retry_heap[0][0] <= now
-        ):
-            self._dispatch(self.idle.pop())
+        for worker in list(self.workers.values()):
+            if not (self.queue and self.queue[0][0] <= now):
+                return
+            if worker.idle and not worker.retired:
+                self._dispatch(worker)
 
     # -- message handling --------------------------------------------------
 
@@ -530,71 +528,108 @@ class _Scheduler:
             self._chaos_dupable += 1
         return [message] * copies
 
+    def _pump(self, timeout: float) -> None:
+        """Handle every message queued, waiting up to *timeout* for the
+        first: reports that piled up while the parent was busy are not
+        silence."""
+        while messages := self._recv_with_chaos(timeout):
+            for message in messages:
+                self._handle(message)
+            timeout = 0
+
     def _handle(self, message: tuple) -> None:
         kind = message[0]
-        worker_id = message[1]
+        worker = self.workers[message[1]]
+        if self.global_stop and kind in ("ready", "progress", "incident"):
+            # A stopping pool: every worker already holds its shutdown,
+            # and its reports change nothing.
+            return
         if kind == "ready":
-            if worker_id in self.retired:
+            if worker.retired:
                 return
             # Per-worker FIFO means every result of the finished batch
             # already arrived — anything still pending was lost in flight
             # (dropped message, torn transport) and must be re-executed.
-            lost = self._take_in_flight(worker_id)
-            if lost and not self.global_stop:
+            lost = self._take_in_flight(worker)
+            if lost:
                 self._counter("exec.lost_results", len(lost))
                 self._reschedule(
-                    lost, cause="lost-result", worker=worker_id
+                    lost, cause="lost-result", worker=worker.handle.worker_id
                 )
                 if self.abort_exc is not None:
                     return
-            self._dispatch(worker_id)
+            self._dispatch(worker)
         elif kind == "progress":
             cpu = message[2]
-            if cpu > self.progress_cpu.get(worker_id, 0.0) + _MIN_PROGRESS_CPU:
-                self.progress_cpu[worker_id] = cpu
-                self.last_progress[worker_id] = time.monotonic()
+            if cpu > worker.progress_cpu + _MIN_PROGRESS_CPU:
+                worker.progress_cpu = cpu
+                worker.last_progress = time.monotonic()
         elif kind == "partial":
             _, _, index, key, state = message
-            if index in self.pending_done:
-                self.live[index] = state
+            if index in self.pending:
+                self.pending[index] = state
                 if self.store is not None:
                     self.store.put_partial(key, state)
         elif kind == "cell":
             _, _, index, state = message
-            if index not in self.pending_done:
+            if index not in self.pending:
                 return  # duplicate from a reschedule
             if self.store is not None:
                 task = self.tasks[index]
                 self.store.put(task.cell_key, task.result(state))
             self._finish(index, state)
-            if self.parent_tel is not None and self.pending_done:
+            if self.parent_tel is not None and self.pending:
                 # Finished cells waiting on an earlier one — how far ahead
                 # of canonical order the schedule ran.
-                first = min(self.pending_done)
+                first = min(self.pending)
                 self.parent_tel.metrics.gauge(
                     "exec.scheduler.reorder_depth"
-                ).set_max(float(sum(1 for i in self.results if i > first)))
+                ).set_max(float(sum(
+                    i > first and i not in self.pending for i in self.tasks
+                )))
         elif kind == "telemetry":
             self._absorb_telemetry(message)
         elif kind == "incident":
             _, _, data, cause = message
             self._incident(Incident.from_dict(data), cause)
         elif kind == "fatal":
-            _, _, index, error_type, detail, exc = message
-            self._retire(worker_id)
-            self.abort_exc = exc if exc is not None else InjectionIncident(
-                f"worker {worker_id} aborted on cell "
-                f"{self._cell_label(index)}: {error_type}: {detail}"
-            )
+            _, worker_id, index, error_type, detail, exc = message
+            worker.retired = True
+            if not self.global_stop:
+                self._abort(exc if exc is not None else InjectionIncident(
+                    f"worker {worker_id} aborted on cell "
+                    f"{self._cell_label(index)}: {error_type}: {detail}"
+                ))
         elif kind == "stopped":
-            self._retire(worker_id)
-            if self.global_stop:
-                return
-            remaining = self._take_in_flight(worker_id)
-            if remaining:
-                self._reschedule(remaining, cause="stopped", worker=worker_id)
+            worker.retired = True
+            remaining = self._take_in_flight(worker)
+            if remaining and not self.global_stop:
+                self._reschedule(
+                    remaining, cause="stopped", worker=worker.handle.worker_id
+                )
         elif kind == "bye":
-            self._retire(worker_id)
+            worker.retired = True
+
+    def _absorb_telemetry(self, message: tuple) -> None:
+        """Keep a worker's metric delta and adopt its trace events.
+
+        A cell keeps the delta of the completion that is merged, like its
+        first "cell" message.  Deltas for cells that were already merged
+        (raced duplicates from reschedules) are counted as
+        ``exec.lost_deltas`` rather than silently dropped — the
+        serial/parallel ``sim.*`` equality contract only holds for
+        incident-free runs, and the counter is how an operator sees why.
+        """
+        if self.parent_tel is None:
+            return
+        _, worker_id, index, delta, events = message
+        if index is None:
+            self.worker_deltas.append(delta)
+        elif index in self.pending:
+            self.cell_deltas[index] = delta
+        else:
+            self._counter("exec.lost_deltas")
+        self.parent_tel.tracer.adopt(events, tid=worker_id + 1)
 
     # -- degradation -------------------------------------------------------
 
@@ -607,7 +642,7 @@ class _Scheduler:
         acked checkpoint.
         """
         self._mark_degraded("no live workers remain")
-        remaining = sorted(self.pending_done)
+        remaining = sorted(self.pending)
         self._instant("serial-fallback", cells=len(remaining))
         self._counter("exec.serial_fallback_cells", len(remaining))
         for index in remaining:
@@ -626,70 +661,41 @@ class _Scheduler:
                     verify=self.spec.verify, prune=self.spec.prune,
                 )
             except InjectionIncident as exc:
-                self.abort_exc = exc
+                self._abort(exc)
                 return
 
-    # -- shutdown paths ----------------------------------------------------
+    # -- stopping ----------------------------------------------------------
 
-    def _drain_for_checkpoints(self, timeout: float = 10.0) -> None:
-        """Absorb in-flight messages while stopping workers wind down.
-
-        Everything durable that arrives during the drain — final mid-cell
-        checkpoints, cells that completed in the shutdown window — is
-        written to the store, so an interrupted run loses at most the
-        unsampled remainder of each worker's current injection.
-        """
-        deadline = time.monotonic() + timeout
-        while self._alive_ids() and time.monotonic() < deadline:
-            message = self.backend.recv(_POLL_INTERVAL)
-            if message is None:
-                continue
-            if message[0] == "ready":
-                # Shut finished workers down instead of dispatching.
-                if message[1] not in self.retired:
-                    self.handles[message[1]].send(None)
-            elif message[0] in ("partial", "cell", "telemetry", "stopped",
-                                "bye"):
-                self._handle(message)
-
-    def _absorb_telemetry(self, message: tuple) -> None:
-        """Keep a worker's metric delta and adopt its trace events.
-
-        A cell keeps the delta of the completion that is merged, like its
-        first "cell" message.  Deltas for cells that were already merged
-        (raced duplicates from reschedules) are counted as
-        ``exec.lost_deltas`` rather than silently dropped — the
-        serial/parallel ``sim.*`` equality contract only holds for
-        incident-free runs, and the counter is how an operator sees why.
-        """
-        if self.parent_tel is None:
+    def _stop(self) -> None:
+        """Stop dispatching and hand every live worker its shutdown at
+        once: a busy one flushes a final checkpoint at its next sample
+        boundary and stops, an idle one says goodbye."""
+        if self.global_stop:
             return
-        _, worker_id, index, delta, events = message
-        if index is None:
-            self.worker_deltas.append(delta)
-        elif index in self.pending_done:
-            self.cell_deltas[index] = delta
-        else:
-            self._counter("exec.lost_deltas")
-        self.parent_tel.tracer.adopt(events, tid=worker_id + 1)
+        self.global_stop = True
+        for worker in self._live_workers():
+            worker.handle.send(None)
 
-    def _shutdown(self) -> None:
-        for worker_id, handle in self.handles.items():
-            if worker_id in self.retired:
-                continue
-            handle.soft_cancel()
-            handle.send(None)
-        for handle in self.handles.values():
-            handle.join(timeout=5.0)
-        for handle in self.handles.values():
-            if handle.alive():
-                handle.kill()
-                handle.join(timeout=1.0)
+    def _shutdown(self, drain: bool) -> None:
+        """Stop the pool and, if *drain*, pump its last messages until
+        every worker has said goodbye or ``_DRAIN_TIMEOUT`` has passed.
+
+        Everything durable that arrives — final mid-cell checkpoints,
+        cells that completed in the shutdown window — is written to the
+        store, so an interrupted run loses at most the unsampled
+        remainder of each worker's current injection.  Whatever still
+        runs after the deadline is killed.
+        """
+        self._stop()
+        deadline = time.monotonic() + _DRAIN_TIMEOUT
+        try:
+            while drain and self._live_workers() and (
+                time.monotonic() < deadline
+            ):
+                self._pump(_POLL_INTERVAL)
+        finally:
+            self.backend.close()
         if self.parent_tel is not None:
-            # Telemetry still queued after every worker has exited.
-            while (message := self.backend.recv(0.2)) is not None:
-                if message[0] == "telemetry":
-                    self._absorb_telemetry(message)
             # Canonical-order merge: same input order every run, and the
             # merge operators themselves are order-independent — either
             # property alone makes merged counters deterministic.
@@ -697,65 +703,49 @@ class _Scheduler:
                 self.parent_tel.metrics.merge_dict(self.cell_deltas[index])
             for delta in self.worker_deltas:
                 self.parent_tel.metrics.merge_dict(delta)
-        self.backend.close()
 
     # -- the main loop -----------------------------------------------------
 
     def run(self) -> int:
         if not self.tasks:
             return 0
-        jobs = max(1, min(self.jobs, len(self.tasks)))
-        batches = _affinity_batches(list(self.tasks.values()), jobs)
-        self.batches = deque(batches)
-        self.max_restarts = jobs * _WORKER_RESTARTS
-        self.backend = create_backend(
-            self.backend_name, self.spec, self.backend_options
+        batches = _affinity_batches(list(self.tasks.values()), self.jobs)
+        for batch in batches:  # due at once, longest first
+            heapq.heappush(self.queue, (0.0, next(self._seq), batch))
+        self.backend = SocketBackend(
+            self.spec, fork=self.backend_name == "multiprocessing",
+            **(self.backend_options or {}),
         )
         if self.parent_tel is not None:
             self.parent_tel.metrics.gauge("exec.scheduler.batches").set_max(
                 len(batches)
             )
-        for _ in range(min(jobs, len(batches))):
-            self._spawn()
+        ending = "failed"
         try:
-            while self.pending_done and self.abort_exc is None:
-                self._reap_dead()
-                if self.abort_exc is not None:
-                    break
-                if not self._alive_ids():
+            for _ in range(min(self.jobs, len(batches))):
+                self._spawn()
+            while self.pending and self.abort_exc is None:
+                self._tick(time.monotonic())
+                if self.abort_exc is None and not self._live_workers():
                     self._serial_fallback()
                     break
-                # Drain everything queued before judging progress: reports
-                # that piled up while the parent was busy are not silence.
-                messages = self._recv_with_chaos(_POLL_INTERVAL)
-                while messages and self.abort_exc is None:
-                    for message in messages:
-                        self._handle(message)
-                        if self.abort_exc is not None:
-                            break
-                    messages = self._recv_with_chaos(0)
-                if self.abort_exc is None:
-                    self._tick(time.monotonic())
+                self._pump(_POLL_INTERVAL)
+            ending = "done"
         except KeyboardInterrupt:
-            # Graceful drain (SIGINT and SIGTERM both land here): let
-            # every worker finish its current sample, flush its final
-            # mid-cell checkpoint, and exit; persist whatever arrives so
-            # a rerun on the store continues bit-identically.
-            self.global_stop = True
-            for worker_id, handle in self.handles.items():
-                if worker_id not in self.retired:
-                    handle.soft_cancel()
-            self._drain_for_checkpoints()
-            if self.store is not None:
-                self.store.compact()
+            # SIGINT and SIGTERM both land here: the shutdown below drains
+            # every worker's final checkpoint into the store, so a rerun
+            # on it continues bit-identically.
+            ending = "interrupted"
             raise
         finally:
-            self.global_stop = True
-            self._shutdown()
+            # A parent that failed (a store write, a caller's callback, a
+            # simulated death) persists nothing more: its workers just go.
+            self._shutdown(drain=ending != "failed")
+            if self.store is not None and (
+                ending == "interrupted" or self.abort_exc is not None
+            ):
+                self.store.compact()
 
         if self.abort_exc is not None:
-            if self.store is not None:
-                self.store.compact()
             raise self.abort_exc
         return self.lost_samples
-

@@ -31,8 +31,6 @@ from repro.core.executor import (
     ALL_BACKEND_NAMES,
     RETRY_JITTER,
     ResiliencePolicy,
-    WorkerSpec,
-    create_backend,
 )
 from repro.core.supervisor import IncidentJournal, Supervisor
 from repro.core.wire import (
@@ -91,14 +89,34 @@ def test_backend_contains_worker_crash(backend, serial_reference, tmp_path):
     assert multiprocessing.active_children() == []
 
 
-def test_create_backend_rejects_unknown_name():
-    spec = WorkerSpec(
-        config=GRID, core_cfg=None,
-        checkpoint_every=None, telemetry_enabled=False,
-        verify=False,
+def test_run_campaign_rejects_unknown_backend_before_spawning(monkeypatch):
+    spawned = []
+    monkeypatch.setattr(
+        coordinator.SocketBackend, "spawn", lambda self: spawned.append(self)
     )
     with pytest.raises(ValueError, match="unknown executor backend"):
-        create_backend("carrier-pigeon", spec)
+        run_campaign(GRID, jobs=2, backend="carrier-pigeon")
+    assert spawned == []
+
+
+def test_socket_backend_reaps_the_workers_it_launched(
+    monkeypatch, serial_reference
+):
+    # close() must wait for the `worker --connect` processes it killed,
+    # as forked workers are joined: a reaped Popen has a return code.
+    launched = []
+    real_close = coordinator.SocketBackend.close
+
+    def close(self):
+        real_close(self)
+        launched.extend(self._procs)
+
+    monkeypatch.setattr(coordinator.SocketBackend, "close", close)
+    result = run_campaign(GRID, jobs=2, backend="socket")
+    assert result.to_json() == serial_reference.to_json()
+    assert len(launched) >= 2
+    assert [proc.returncode is not None for proc in launched] == \
+        [True] * len(launched)
 
 
 def test_session_send_keeps_concurrent_frames_whole(monkeypatch):
@@ -120,7 +138,7 @@ def test_session_send_keeps_concurrent_frames_whole(monkeypatch):
             stream.write(data[start:start + 4096])
             stream.flush()
 
-    def burst_loop(worker_id, spec, recv_batch, send, stop_flag):
+    def burst_loop(worker_id, spec, recv_batch, send, stop_flag, sabotage):
         def burst(sender):
             for ordinal in range(per_sender):
                 send(("partial", sender, ordinal, bytes([sender]) * 40_000))

@@ -9,6 +9,7 @@ sample counts; the properties under test do not depend on scale.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import signal
@@ -26,6 +27,7 @@ from repro.core.campaign import (
     run_campaign,
     run_cell,
 )
+from repro.core import parallel as parallel_module
 from repro.core.chaos import ChaosEvent, ChaosSpec
 from repro.core.parallel import _affinity_batches
 from repro.core.supervisor import IncidentJournal, Supervisor
@@ -287,6 +289,46 @@ def test_cli_sigint_drains_and_resume_completes(tmp_path):
     assert reference.returncode == 0, reference.stderr.decode()
     assert (tmp_path / "resumed.json").read_bytes() == \
         (tmp_path / "reference.json").read_bytes()
+
+
+def test_interrupt_with_an_idle_worker_does_not_wait_out_the_drain(
+    tmp_path, monkeypatch
+):
+    """Ctrl-C while one worker is idle and the other busy: the idle one
+    is shut down at once, so the drain ends when the busy one has flushed
+    its checkpoint, not at the drain deadline.  A rerun on the store is
+    byte-identical to serial."""
+    monkeypatch.setattr(parallel_module, "_DRAIN_TIMEOUT", 300.0)
+    config = CampaignConfig(
+        workloads=("stringsearch", "crc32"), components=("regfile", "itlb"),
+        cardinalities=(1,), samples=8, seed=0,
+    )
+    store_path = tmp_path / "store.json"
+    # With stringsearch/itlb cached, one worker gets the one short
+    # stringsearch cell and goes idle long before the other finishes
+    # crc32/regfile and starts crc32/itlb.
+    run_campaign(
+        dataclasses.replace(
+            config, workloads=("stringsearch",), components=("itlb",)
+        ),
+        store=CampaignStore(store_path),
+    )
+    interrupted_at = []
+
+    def progress(done, total, cell):
+        if cell.workload == "crc32" and not interrupted_at:
+            interrupted_at.append(time.monotonic())
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        run_campaign(
+            config, progress, CampaignStore(store_path), jobs=2,
+            checkpoint_every=1,
+        )
+    assert time.monotonic() - interrupted_at[0] < 30.0
+
+    resumed = run_campaign(config, store=CampaignStore(store_path))
+    assert resumed.to_json() == run_campaign(config).to_json()
 
 
 def test_unsupervised_parallel_run_works(serial_reference):

@@ -303,8 +303,7 @@ def test_worker_start_message_carries_the_smp_golden_cycles():
     campaign_module._GOLDEN_CACHE.clear()
     try:
         worker = threading.Thread(target=worker_loop, args=(
-            0, spec, lambda timeout: inbox.get(timeout=timeout),
-            sent.append, lambda: False,
+            0, spec, inbox.get, sent.append, lambda: False,
         ))
         worker.start()
         worker.join(timeout=300)
